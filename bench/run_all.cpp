@@ -26,6 +26,7 @@
 #include "bench_common.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fleet/harness.hpp"
 #include "io/wire.hpp"
 #include "data/mnist_synth.hpp"
@@ -153,21 +154,6 @@ std::vector<Record> kernel_benches() {
                                   (void)sink;
                                 }));
   }
-  return records;
-}
-
-std::vector<Record> noisy_eval_benches() {
-  std::vector<Record> records;
-  const BenchWorkload w = make_workload();
-  const Dataset data = make_mnist4(64, 24);
-  records.push_back(time_loop(
-      "noisy_evaluate", "qubits=4,samples=" + std::to_string(data.size()),
-      static_cast<double>(data.size()), "samples/sec", [&] {
-        const auto result =
-            noisy_evaluate(w.model, w.transpiled, w.theta, data, w.calib());
-        volatile double sink = result.accuracy;
-        (void)sink;
-      }));
   return records;
 }
 
@@ -320,11 +306,14 @@ std::vector<Record> train_benches() {
 }
 
 /// The SoA lane-replay record group: the batched compiled engines — forward
-/// (PureExecutor::run_z_batch) and gradient (batch_loss_grad) — with lane
-/// replay forced on vs forced off (the per-sample scalar reference) on the
-/// same model, theta, and sample rows. Both sides spread over the same
-/// worker pool, so the ratio isolates the SoA win (one op-stream walk per
-/// kLanes samples + vectorized lane kernels) from thread-level parallelism.
+/// (PureExecutor::run_z_batch) and gradient (batch_loss_grad) — with full
+/// lane blocks vs every sample at lane width 1 on the same model, theta,
+/// and sample rows. The width-1 side ("engine=scalar") fans one-row
+/// run_z_batch / one-index batch_loss_grad calls over the global pool's
+/// parallel_for; each inner call is a count-1 parallel_for, which runs
+/// inline, so both sides spread over the same worker pool and the ratio
+/// isolates the SoA win (one op-stream walk per kBlockLanes samples +
+/// vectorized lane kernels) from thread-level parallelism.
 /// "simd_batch_speedup" / "simd_grad_speedup" carry the dimensionless
 /// lanes/scalar ratios at batch 256 — hardware-independent, gated against
 /// the checked-in baseline in CI (>= 2x asserted on multi-core runners).
@@ -337,15 +326,8 @@ std::vector<Record> simd_benches() {
   const auto executor =
       build_pure_executor(model.circuit, model.readout_qubits);
   const Dataset data = make_mnist4(256, 24);
-
-  struct EngineSpec {
-    const char* label;
-    BatchReplay replay;
-  };
-  const EngineSpec engines[] = {
-      {"scalar", BatchReplay::kScalar},
-      {"lanes", BatchReplay::kLanes},
-  };
+  const std::string engines[] = {"scalar", "lanes"};
+  ThreadPool& pool = ThreadPool::global();
 
   double forward_scalar_256 = 0.0;
   double forward_lanes_256 = 0.0;
@@ -355,36 +337,52 @@ std::vector<Record> simd_benches() {
     const std::span<const std::vector<double>> sub(data.features.data(), batch);
     std::vector<std::size_t> idx(batch);
     for (std::size_t i = 0; i < batch; ++i) idx[i] = i;
-    for (const EngineSpec& engine : engines) {
-      const std::string params = std::string("engine=") + engine.label +
-                                 ",qubits=4,batch=" + std::to_string(batch);
+    for (const std::string& engine : engines) {
+      const bool lanes = engine == "lanes";
+      const std::string params =
+          "engine=" + engine + ",qubits=4,batch=" + std::to_string(batch);
       const Record forward = time_loop(
           "batch_forward", params, static_cast<double>(batch), "samples/sec",
           [&] {
-            const auto zs =
-                executor->run_z_batch(sub, theta, nullptr, engine.replay);
-            volatile double sink = zs[0][0];
+            if (lanes) {
+              const auto zs = executor->run_z_batch(sub, theta);
+              volatile double sink = zs[0][0];
+              (void)sink;
+              return;
+            }
+            double z0 = 0.0;
+            pool.parallel_for(batch, [&](std::size_t i) {
+              const auto zs = executor->run_z_batch(sub.subspan(i, 1), theta);
+              if (i == 0) z0 = zs[0][0];
+            });
+            volatile double sink = z0;
             (void)sink;
           });
       records.push_back(forward);
       const Record grad = time_loop(
           "batch_grad", params, static_cast<double>(batch), "gradients/sec",
           [&] {
-            const BatchGrad bg =
-                batch_loss_grad(*executor, theta, data, idx, 5.0,
-                                engine.replay);
-            volatile double sink = bg.grad[0];
+            if (lanes) {
+              const BatchGrad bg =
+                  batch_loss_grad(*executor, theta, data, idx, 5.0);
+              volatile double sink = bg.grad[0];
+              (void)sink;
+              return;
+            }
+            double g0 = 0.0;
+            pool.parallel_for(batch, [&](std::size_t i) {
+              const BatchGrad bg = batch_loss_grad(
+                  *executor, theta, data,
+                  std::span<const std::size_t>(idx).subspan(i, 1), 5.0);
+              if (i == 0) g0 = bg.grad[0];
+            });
+            volatile double sink = g0;
             (void)sink;
           });
       records.push_back(grad);
       if (batch == 256) {
-        if (engine.replay == BatchReplay::kScalar) {
-          forward_scalar_256 = forward.throughput;
-          grad_scalar_256 = grad.throughput;
-        } else {
-          forward_lanes_256 = forward.throughput;
-          grad_lanes_256 = grad.throughput;
-        }
+        (lanes ? forward_lanes_256 : forward_scalar_256) = forward.throughput;
+        (lanes ? grad_lanes_256 : grad_scalar_256) = grad.throughput;
       }
     }
   }
@@ -404,10 +402,11 @@ std::vector<Record> simd_benches() {
     records.push_back(speedup);
   }
 
-  // Density-engine lane replay: NoisyExecutor::run_z_batch with lanes forced
-  // on vs off over the same rows, exact expectations (shots = 0) — the shape
-  // of noisy_evaluate and the compression keep_best guard. Smaller batch
-  // than the pure group because each sample is a full density evolution.
+  // Density-engine lane replay: NoisyExecutor::run_z_batch in full blocks
+  // vs one-row calls over the same rows, exact expectations (shots = 0) —
+  // the shape of noisy_evaluate and the compression keep_best guard.
+  // Smaller batch than the pure group because each sample is a full
+  // density evolution.
   {
     const BenchWorkload w = make_workload();
     const std::shared_ptr<const NoisyExecutor> noisy =
@@ -417,24 +416,30 @@ std::vector<Record> simd_benches() {
                                                    kNoisyBatch);
     double noisy_scalar = 0.0;
     double noisy_lanes = 0.0;
-    for (const EngineSpec& engine : engines) {
-      const std::string params = std::string("engine=") + engine.label +
+    for (const std::string& engine : engines) {
+      const bool lanes = engine == "lanes";
+      const std::string params = "engine=" + engine +
                                  ",qubits=4,device=belem,batch=" +
                                  std::to_string(kNoisyBatch);
       const Record rec = time_loop(
           "noisy_batch_forward", params, static_cast<double>(kNoisyBatch),
           "samples/sec", [&] {
-            const auto zs =
-                noisy->run_z_batch(sub, 0, 99, nullptr, engine.replay);
-            volatile double sink = zs[0][0];
+            if (lanes) {
+              const auto zs = noisy->run_z_batch(sub);
+              volatile double sink = zs[0][0];
+              (void)sink;
+              return;
+            }
+            double z0 = 0.0;
+            pool.parallel_for(kNoisyBatch, [&](std::size_t i) {
+              const auto zs = noisy->run_z_batch(sub.subspan(i, 1));
+              if (i == 0) z0 = zs[0][0];
+            });
+            volatile double sink = z0;
             (void)sink;
           });
       records.push_back(rec);
-      if (engine.replay == BatchReplay::kScalar) {
-        noisy_scalar = rec.throughput;
-      } else {
-        noisy_lanes = rec.throughput;
-      }
+      (lanes ? noisy_lanes : noisy_scalar) = rec.throughput;
     }
     Record speedup;
     speedup.name = "simd_noisy_speedup";
@@ -1095,7 +1100,6 @@ int main(int argc, char** argv) {
       qucad::require(probe.good(), "cannot open " + probe_path);
     }
     write_group(dir, "kernels", kernel_benches());
-    write_group(dir, "noisy_eval", noisy_eval_benches());
     write_group(dir, "compiled_eval", compiled_eval_benches());
     write_group(dir, "train", train_benches());
     write_group(dir, "simd", simd_benches());

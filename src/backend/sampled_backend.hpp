@@ -67,14 +67,13 @@ class SampledStatevectorBackend final : public ExecutionBackend {
   /// exact reproducibility must keep the request->batch assignment fixed
   /// (the serving layer documents the same caveat).
   ///
-  /// Full blocks of BatchedStateVector::kLanes samples replay through the
-  /// SoA lane engine and then sample each lane's final state; because the
-  /// lane replay is bitwise identical to the scalar replay (see
-  /// sim/batched_state.hpp) the drawn shot streams — and therefore the
-  /// logits — are bit-for-bit the same as the per-sample path. The ragged
-  /// tail (and everything, under the QUCAD_SCALAR_REPLAY kill switch) goes
-  /// per-sample. Every row is validated against the program's input arity
-  /// up front, on the calling thread.
+  /// Full blocks of kBlockLanes samples replay at that lane width and then
+  /// sample each lane's final state; the ragged tail replays at width 1,
+  /// the width run_logits uses. A lane's amplitudes do not depend on the
+  /// width (see sim/batched_state.hpp), so the drawn shot streams — and
+  /// therefore the logits — are bit-for-bit those of a single-sample call
+  /// seeded seed + i. Every row is validated against the program's input
+  /// arity up front, on the calling thread.
   std::vector<std::vector<double>> run_logits_batch(
       std::span<const std::vector<double>> xs,
       ThreadPool* pool = nullptr) const override;
@@ -84,14 +83,15 @@ class SampledStatevectorBackend final : public ExecutionBackend {
   const PureExecutor& executor() const { return *executor_; }
 
  private:
-  /// One sample's shot-sampled logits into caller-owned scratch.
-  std::vector<double> sample_into(std::span<const double> x,
-                                  std::uint64_t sample_seed, StateVector& sv,
-                                  std::vector<double>& cdf) const;
+  /// Replays W samples and draws lane l's shot-sampled logits into out[l]
+  /// from an Rng seeded first_seed + l.
+  template <std::size_t W>
+  void sample_lanes(const LaneInputs<W>& xs, std::uint64_t first_seed,
+                    std::vector<double>* out) const;
 
-  /// The shot-draw loop shared by the scalar and lane paths: `shots_` draws
-  /// from `cdf` (running total `total`) under an Rng seeded with
-  /// `sample_seed`, confusion flips included.
+  /// The shot-draw loop of every lane: `shots_` draws from `cdf` (running
+  /// total `total`) under an Rng seeded with `sample_seed`, confusion flips
+  /// included.
   std::vector<double> draw_logits(const std::vector<double>& cdf, double total,
                                   std::uint64_t sample_seed) const;
 

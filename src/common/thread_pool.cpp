@@ -48,7 +48,7 @@ void ThreadPool::parallel_for(std::size_t count,
   }
 
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
+  std::size_t done = 0;  // guarded by done_mutex
   std::exception_ptr first_error;
   std::mutex error_mutex;
   std::condition_variable done_cv;
@@ -66,10 +66,11 @@ void ThreadPool::parallel_for(std::size_t count,
         if (!first_error) first_error = std::current_exception();
       }
     }
-    if (done.fetch_add(1) + 1 == num_chunks) {
-      std::lock_guard lock(done_mutex);
-      done_cv.notify_one();
-    }
+    // Count and signal under the lock the waiter checks: the caller cannot
+    // observe completion (and return, destroying this stack-local state)
+    // until this chunk has released done_mutex and touches nothing else.
+    std::lock_guard lock(done_mutex);
+    if (++done == num_chunks) done_cv.notify_one();
   };
 
   {
@@ -79,7 +80,7 @@ void ThreadPool::parallel_for(std::size_t count,
   cv_.notify_all();
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return done.load() == num_chunks; });
+  done_cv.wait(lock, [&] { return done == num_chunks; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

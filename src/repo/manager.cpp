@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "common/require.hpp"
 #include "common/stats.hpp"
 #include "repo/weights.hpp"
 
@@ -109,11 +108,6 @@ StatusOr<std::span<const double>> OnlineManager::theta_for_decision(
   }
   const std::vector<double>& theta = repository_.entry(decision.entry_index).theta;
   return std::span<const double>(theta);
-}
-
-const std::vector<double>& OnlineManager::theta_for(const Decision& decision) const {
-  require(decision.entry_index >= 0, "decision does not reference an entry");
-  return repository_.entry(decision.entry_index).theta;
 }
 
 }  // namespace qucad

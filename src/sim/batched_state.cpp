@@ -1,30 +1,23 @@
 #include "sim/batched_state.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 
 #include "common/require.hpp"
-#include "sim/density_matrix.hpp"
+#include "sim/compiled_ops.hpp"
 
 namespace qucad {
 
 // Every kernel below expands the complex arithmetic over the SoA planes in
-// the SAME operation order as StateVector's std::complex path:
+// the SAME operation order as the std::complex expressions of the
+// gate-by-gate reference engines:
 //   (m * a).re = m.re * a.re - m.im * a.im
 //   (m * a).im = m.re * a.im + m.im * a.re
-// with two-term sums associated exactly as `m0 * a0 + m1 * a1`. This keeps
-// every lane bitwise identical to a scalar replay of that sample (IEEE
-// mul/add are deterministic; the build adds no FMA contraction or
-// fast-math), which the sampled backend's batched path depends on.
+// with two-term sums associated exactly as `m0 * a0 + m1 * a1`. IEEE mul/add
+// are deterministic and the build adds no FMA contraction or fast-math, so
+// a lane's values do not depend on the lane width W it was replayed at.
 
-bool lane_replay_enabled() {
-  static const bool enabled = [] {
-    const char* knob = std::getenv("QUCAD_SCALAR_REPLAY");
-    return knob == nullptr || knob[0] == '\0';
-  }();
-  return enabled;
-}
-
-BatchedStateVector::BatchedStateVector(int num_qubits)
+template <std::size_t W>
+BatchedStateVector<W>::BatchedStateVector(int num_qubits)
     : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits) {
   require(num_qubits > 0 && num_qubits <= 20, "qubit count out of range");
   re_.assign(dim_ * kLanes, 0.0);
@@ -32,13 +25,15 @@ BatchedStateVector::BatchedStateVector(int num_qubits)
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedStateVector::reset() {
+template <std::size_t W>
+void BatchedStateVector<W>::reset() {
   std::fill(re_.begin(), re_.end(), 0.0);
   std::fill(im_.begin(), im_.end(), 0.0);
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedStateVector::apply1(int q, const std::array<cplx, 4>& m) {
+template <std::size_t W>
+void BatchedStateVector<W>::apply1(int q, const std::array<cplx, 4>& m) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   const double m0r = m[0].real(), m0i = m[0].imag();
   const double m1r = m[1].real(), m1i = m[1].imag();
@@ -64,7 +59,8 @@ void BatchedStateVector::apply1(int q, const std::array<cplx, 4>& m) {
   }
 }
 
-void BatchedStateVector::apply1_lanes(int q, const std::array<cplx, 4>* ms) {
+template <std::size_t W>
+void BatchedStateVector<W>::apply1_lanes(int q, const std::array<cplx, 4>* ms) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   // Transpose the per-lane matrices into lane-major rows once, so the inner
   // loop stays unit-stride over every operand.
@@ -100,7 +96,8 @@ void BatchedStateVector::apply1_lanes(int q, const std::array<cplx, 4>* ms) {
   }
 }
 
-void BatchedStateVector::apply_diag1(int q, cplx d0, cplx d1) {
+template <std::size_t W>
+void BatchedStateVector<W>::apply_diag1(int q, cplx d0, cplx d1) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   const double d0r = d0.real(), d0i = d0.imag();
   const double d1r = d1.real(), d1i = d1.imag();
@@ -119,8 +116,9 @@ void BatchedStateVector::apply_diag1(int q, cplx d0, cplx d1) {
   }
 }
 
-void BatchedStateVector::apply_diag1_lanes(int q, const cplx* d0s,
-                                           const cplx* d1s) {
+template <std::size_t W>
+void BatchedStateVector<W>::apply_diag1_lanes(int q, const cplx* d0s,
+                                              const cplx* d1s) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   double d0r[kLanes], d0i[kLanes], d1r[kLanes], d1i[kLanes];
   for (std::size_t l = 0; l < kLanes; ++l) {
@@ -148,14 +146,13 @@ namespace {
 
 /// The CRot2 block pass over one 4-tuple of SoA rows, lane-major matrix
 /// operands: m on the (00, 01) pair, X m X on the (10, 11) pair — the same
-/// index pattern as CompiledProgram::run_pure's CRot2 case.
+/// index pattern as the reference CX (I (x) M) CX sandwich.
+template <std::size_t W>
 inline void crot_rows(double* r00, double* i00, double* r01, double* i01,
                       double* r10, double* i10, double* r11, double* i11,
-                      const double (&mr)[4][BatchedStateVector::kLanes],
-                      const double (&mi)[4][BatchedStateVector::kLanes]) {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+                      const double (&mr)[4][W], const double (&mi)[4][W]) {
 #pragma omp simd
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < W; ++l) {
     const double a0r = r00[l], a0i = i00[l];
     const double a1r = r01[l], a1i = i01[l];
     r00[l] = (mr[0][l] * a0r - mi[0][l] * a0i) +
@@ -181,8 +178,9 @@ inline void crot_rows(double* r00, double* i00, double* r01, double* i01,
 
 }  // namespace
 
-void BatchedStateVector::apply_crot_lanes(int control, int target,
-                                          const std::array<cplx, 4>* ms) {
+template <std::size_t W>
+void BatchedStateVector<W>::apply_crot_lanes(int control, int target,
+                                             const std::array<cplx, 4>* ms) {
   require(control >= 0 && control < num_qubits_ && target >= 0 &&
               target < num_qubits_ && control != target,
           "invalid qubit pair");
@@ -208,14 +206,16 @@ void BatchedStateVector::apply_crot_lanes(int control, int target,
   }
 }
 
-void BatchedStateVector::apply_crot(int control, int target,
-                                    const std::array<cplx, 4>& m) {
+template <std::size_t W>
+void BatchedStateVector<W>::apply_crot(int control, int target,
+                                       const std::array<cplx, 4>& m) {
   std::array<std::array<cplx, 4>, kLanes> broadcast;
   broadcast.fill(m);
   apply_crot_lanes(control, target, broadcast.data());
 }
 
-void BatchedStateVector::apply_cx(int control, int target) {
+template <std::size_t W>
+void BatchedStateVector<W>::apply_cx(int control, int target) {
   require(control >= 0 && control < num_qubits_ && target >= 0 &&
               target < num_qubits_ && control != target,
           "invalid qubit pair");
@@ -238,8 +238,9 @@ void BatchedStateVector::apply_cx(int control, int target) {
   }
 }
 
-void BatchedStateVector::readout_z(std::span<const int> slots,
-                                   double* out) const {
+template <std::size_t W>
+void BatchedStateVector<W>::readout_z(std::span<const int> slots,
+                                      double* out) const {
   std::fill(out, out + slots.size() * kLanes, 0.0);
   for (std::size_t i = 0; i < dim_; ++i) {
     const double* r = re_.data() + i * kLanes;
@@ -256,7 +257,8 @@ void BatchedStateVector::readout_z(std::span<const int> slots,
   }
 }
 
-void BatchedStateVector::all_z(double* out) const {
+template <std::size_t W>
+void BatchedStateVector<W>::all_z(double* out) const {
   const std::size_t n = static_cast<std::size_t>(num_qubits_);
   std::fill(out, out + n * kLanes, 0.0);
   for (std::size_t i = 0; i < dim_; ++i) {
@@ -274,15 +276,17 @@ void BatchedStateVector::all_z(double* out) const {
   }
 }
 
-void BatchedStateVector::lane_cdf(std::size_t lane, std::vector<double>& cdf,
-                                  double& total) const {
+template <std::size_t W>
+void BatchedStateVector<W>::lane_cdf(std::size_t lane,
+                                     std::vector<double>& cdf,
+                                     double& total) const {
   require(lane < kLanes, "lane index out of range");
   cdf.resize(dim_);
   double acc = 0.0;
   for (std::size_t i = 0; i < dim_; ++i) {
     const double r = re_[i * kLanes + lane];
     const double m = im_[i * kLanes + lane];
-    // Same expression order as std::norm in the scalar sampling path.
+    // Same expression order as std::norm.
     acc += r * r + m * m;
     cdf[i] = acc;
   }
@@ -290,14 +294,14 @@ void BatchedStateVector::lane_cdf(std::size_t lane, std::vector<double>& cdf,
 }
 
 // ---------------------------------------------------------------------------
-// BatchedDensityMatrix: the noisy engine's lane state. Every kernel mirrors
-// the matching DensityMatrix kernel pass for pass (left multiply then right
-// multiply for unitaries, the same gathered block sequence for channels)
-// with the complex arithmetic expanded over the SoA planes in the scalar
-// expression order — the bitwise contract described at the top of the file.
+// BatchedDensityMatrix: the noisy engine's lane state. Unitaries apply as a
+// left multiply then a right multiply (the DensityMatrix::apply1/apply2
+// passes), channels as one pass per run of block entries, with the complex
+// arithmetic expanded in the order described at the top of the file.
 // ---------------------------------------------------------------------------
 
-BatchedDensityMatrix::BatchedDensityMatrix(int num_qubits)
+template <std::size_t W>
+BatchedDensityMatrix<W>::BatchedDensityMatrix(int num_qubits)
     : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits) {
   require(num_qubits > 0 && num_qubits <= kMaxQubits,
           "batched density matrix qubit count out of range");
@@ -306,13 +310,16 @@ BatchedDensityMatrix::BatchedDensityMatrix(int num_qubits)
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedDensityMatrix::reset() {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::reset() {
   std::fill(re_.begin(), re_.end(), 0.0);
   std::fill(im_.begin(), im_.end(), 0.0);
   for (std::size_t l = 0; l < kLanes; ++l) re_[l] = 1.0;
 }
 
-void BatchedDensityMatrix::apply1_lanes(int q, const std::array<cplx, 4>* us) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply1_lanes(int q,
+                                           const std::array<cplx, 4>* us) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   // Lane-major operand rows, plus the conjugates the right pass needs
   // (DensityMatrix::right_mul1_dag conjugates once up front).
@@ -350,7 +357,7 @@ void BatchedDensityMatrix::apply1_lanes(int q, const std::array<cplx, 4>* us) {
     }
   }
   // Pass 2: rho -> rho U^dag (column pairs), same traversal as
-  // right_mul1_dag. conj(a) negates ai, and the scalar kernel multiplies
+  // right_mul1_dag. conj(a) negates ai, and right_mul1_dag multiplies
   // v * conj(a): re = vr*ar + vi*ai, im = -vr*ai + vi*ar after expanding the
   // conjugate — written with the same signs below.
   for (std::size_t r = 0; r < dim_; ++r) {
@@ -381,14 +388,16 @@ void BatchedDensityMatrix::apply1_lanes(int q, const std::array<cplx, 4>* us) {
   }
 }
 
-void BatchedDensityMatrix::apply1(int q, const std::array<cplx, 4>& u) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply1(int q, const std::array<cplx, 4>& u) {
   std::array<std::array<cplx, 4>, kLanes> broadcast;
   broadcast.fill(u);
   apply1_lanes(q, broadcast.data());
 }
 
-void BatchedDensityMatrix::apply_diag1_lanes(int q, const cplx* d0s,
-                                             const cplx* d1s) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply_diag1_lanes(int q, const cplx* d0s,
+                                                const cplx* d1s) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   // Per-lane scale factors, derived with the same host-side std::complex
   // expressions as DensityMatrix::apply_diag1.
@@ -436,7 +445,8 @@ void BatchedDensityMatrix::apply_diag1_lanes(int q, const cplx* d0s,
   }
 }
 
-void BatchedDensityMatrix::apply_diag1(int q, cplx d0, cplx d1) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply_diag1(int q, cplx d0, cplx d1) {
   cplx d0s[kLanes], d1s[kLanes];
   for (std::size_t l = 0; l < kLanes; ++l) {
     d0s[l] = d0;
@@ -445,8 +455,9 @@ void BatchedDensityMatrix::apply_diag1(int q, cplx d0, cplx d1) {
   apply_diag1_lanes(q, d0s, d1s);
 }
 
-void BatchedDensityMatrix::apply2_lanes(int q0, int q1,
-                                        const std::array<cplx, 16>* us) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply2_lanes(int q0, int q1,
+                                           const std::array<cplx, 16>* us) {
   require(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 && q1 < num_qubits_ &&
               q0 != q1,
           "invalid qubit pair");
@@ -504,8 +515,8 @@ void BatchedDensityMatrix::apply2_lanes(int q0, int q1,
       }
     }
   }
-  // Pass 2: rho -> rho U^dag, same traversal as right_mul2_dag (the scalar
-  // kernel accumulates v[j] * adag[j*4+k] from complex zero, j ascending).
+  // Pass 2: rho -> rho U^dag, same traversal as right_mul2_dag (which
+  // accumulates v[j] * adag[j*4+k] from complex zero, j ascending).
   for (std::size_t r = 0; r < dim_; ++r) {
     const std::size_t row = r * dim_;
     for (std::size_t c = 0; c < dim_; ++c) {
@@ -543,134 +554,151 @@ void BatchedDensityMatrix::apply2_lanes(int q0, int q1,
   }
 }
 
-void BatchedDensityMatrix::apply2(int q0, int q1,
-                                  const std::array<cplx, 16>& u) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply2(int q0, int q1,
+                                     const std::array<cplx, 16>& u) {
   std::array<std::array<cplx, 16>, kLanes> broadcast;
   broadcast.fill(u);
   apply2_lanes(q0, q1, broadcast.data());
 }
 
-void BatchedDensityMatrix::apply_cx(int control, int target) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply_cx(int control, int target) {
   require(control >= 0 && control < num_qubits_ && target >= 0 &&
               target < num_qubits_ && control != target,
           "invalid qubit pair");
-  // Same entry-pair relabeling as DensityMatrix::apply_cx — pure value
-  // swaps, so lanes are trivially bitwise identical.
+  // CX is a permutation P = P^dag, so CX rho CX^dag relabels entries:
+  // rho'(r, c) = rho(pi(r), pi(c)), pi(i) = i XOR target-bit when the
+  // control bit is set. Each unordered entry pair is swapped once, from its
+  // lexicographically smaller side. Columns come in runs of min(mc, mt)
+  // that pi maps to runs, so each swap moves a whole contiguous run.
   const std::size_t mc = std::size_t{1} << control;
   const std::size_t mt = std::size_t{1} << target;
-  auto swap_rows = [&](std::size_t a, std::size_t b) {
+  const std::size_t lo = std::min(mc, mt);
+  const std::size_t n = lo * kLanes;  // doubles per column run
+  auto swap_runs = [&](std::size_t a, std::size_t b) {
     double* rap = re_.data() + a * kLanes;
     double* iap = im_.data() + a * kLanes;
     double* rbp = re_.data() + b * kLanes;
     double* ibp = im_.data() + b * kLanes;
 #pragma omp simd
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const double tr = rap[l], ti = iap[l];
-      rap[l] = rbp[l];
-      iap[l] = ibp[l];
-      rbp[l] = tr;
-      ibp[l] = ti;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double tr = rap[j], ti = iap[j];
+      rap[j] = rbp[j];
+      iap[j] = ibp[j];
+      rbp[j] = tr;
+      ibp[j] = ti;
     }
   };
   for (std::size_t r = 0; r < dim_; ++r) {
     const std::size_t pr = (r & mc) ? (r ^ mt) : r;
     if (pr < r) continue;
-    for (std::size_t c = 0; c < dim_; ++c) {
+    for (std::size_t c = 0; c < dim_; c += lo) {
       const std::size_t pc = (c & mc) ? (c ^ mt) : c;
       if (pr == r) {
-        if (pc > c) swap_rows(r * dim_ + c, r * dim_ + pc);
+        if (pc > c) swap_runs(r * dim_ + c, r * dim_ + pc);
       } else {
-        swap_rows(r * dim_ + c, pr * dim_ + pc);
+        swap_runs(r * dim_ + c, pr * dim_ + pc);
       }
     }
   }
 }
 
-void BatchedDensityMatrix::apply_channel1(int q, const FusedChannel1& ch) {
+// The channel kernels sweep each block entry over a whole run of columns at
+// once: the columns with the target bit(s) clear come in contiguous runs,
+// and within a run the SoA entries of every column and lane are contiguous
+// too. Entries of a run are independent, so one unit-stride loop per run
+// vectorizes at any lane width, W = 1 included, without changing any
+// entry's arithmetic.
+
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply_channel1(int q, FusedChannel1 ch) {
   require(q >= 0 && q < num_qubits_, "qubit index out of range");
   if (ch.is_identity()) return;
   const std::size_t mq = std::size_t{1} << q;
+  const std::size_t n = mq * kLanes;  // doubles per column run
+  double* re = re_.data();
+  double* im = im_.data();
   for (std::size_t r = 0; r < dim_; ++r) {
     if (r & mq) continue;
     const std::size_t r1 = r | mq;
-    for (std::size_t c = 0; c < dim_; ++c) {
-      if (c & mq) continue;
-      const std::size_t c1 = c | mq;
-      double* p00r = re_.data() + (r * dim_ + c) * kLanes;
-      double* p00i = im_.data() + (r * dim_ + c) * kLanes;
-      double* p01r = re_.data() + (r * dim_ + c1) * kLanes;
-      double* p01i = im_.data() + (r * dim_ + c1) * kLanes;
-      double* p10r = re_.data() + (r1 * dim_ + c) * kLanes;
-      double* p10i = im_.data() + (r1 * dim_ + c) * kLanes;
-      double* p11r = re_.data() + (r1 * dim_ + c1) * kLanes;
-      double* p11i = im_.data() + (r1 * dim_ + c1) * kLanes;
+    for (std::size_t c = 0; c < dim_; c += 2 * mq) {
+      const std::size_t a00 = (r * dim_ + c) * kLanes;
+      const std::size_t a10 = (r1 * dim_ + c) * kLanes;
+      double* p00r = re + a00;
+      double* p00i = im + a00;
+      double* p01r = p00r + n;
+      double* p01i = p00i + n;
+      double* p10r = re + a10;
+      double* p10i = im + a10;
+      double* p11r = p10r + n;
+      double* p11i = p10i + n;
 #pragma omp simd
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const double v00r = p00r[l], v00i = p00i[l];
-        const double v11r = p11r[l], v11i = p11i[l];
-        // Populations mix through the real 2x2, coherences scale by off —
-        // the same statement order as DensityMatrix::apply_channel1.
-        p00r[l] = ch.d00_00 * v00r + ch.d00_11 * v11r;
-        p00i[l] = ch.d00_00 * v00i + ch.d00_11 * v11i;
-        p11r[l] = ch.d11_00 * v00r + ch.d11_11 * v11r;
-        p11i[l] = ch.d11_00 * v00i + ch.d11_11 * v11i;
-        p01r[l] *= ch.off;
-        p01i[l] *= ch.off;
-        p10r[l] *= ch.off;
-        p10i[l] *= ch.off;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double v00r = p00r[j], v00i = p00i[j];
+        const double v11r = p11r[j], v11i = p11i[j];
+        // Populations mix through the real 2x2, coherences scale by off.
+        p00r[j] = ch.d00_00 * v00r + ch.d00_11 * v11r;
+        p00i[j] = ch.d00_00 * v00i + ch.d00_11 * v11i;
+        p11r[j] = ch.d11_00 * v00r + ch.d11_11 * v11r;
+        p11i[j] = ch.d11_00 * v00i + ch.d11_11 * v11i;
+        p01r[j] *= ch.off;
+        p01i[j] *= ch.off;
+        p10r[j] *= ch.off;
+        p10i[j] *= ch.off;
       }
     }
   }
 }
 
-void BatchedDensityMatrix::apply_channel2(int qa, int qb,
-                                          const FusedChannel2& ch) {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::apply_channel2(int qa, int qb,
+                                             FusedChannel2 ch) {
   require(qa >= 0 && qa < num_qubits_ && qb >= 0 && qb < num_qubits_ &&
               qa != qb,
           "invalid qubit pair");
   if (ch.is_identity()) return;
   const std::size_t ma = std::size_t{1} << qa;
   const std::size_t mb = std::size_t{1} << qb;
+  const std::size_t lo = std::min(ma, mb);  // column run length
+  const std::size_t n = lo * kLanes;        // doubles per column run
   const std::size_t offsets[4] = {0, mb, ma, ma | mb};
+  double* re = re_.data();
+  double* im = im_.data();
   for (std::size_t r = 0; r < dim_; ++r) {
     if ((r & ma) || (r & mb)) continue;
-    for (std::size_t c = 0; c < dim_; ++c) {
+    for (std::size_t c = 0; c < dim_; c += lo) {
       if ((c & ma) || (c & mb)) continue;
-      // Lane rows of the 4x4 block, local index k = 2*bit(qa) + bit(qb).
-      // The scalar kernel gathers the block, transforms it in statement
-      // order, and writes it back; applying the same statement sequence
-      // in place is value-identical because every statement reads only
-      // block entries the sequence has already brought up to date.
+      // Runs of the 4x4 block's entries, local index k = 2*bit(qa) +
+      // bit(qb). Two-qubit depolarizing, then thermal relaxation on qa,
+      // then on qb; each statement reads only entries the sequence has
+      // already brought up to date.
       double* er[4][4];
       double* ei[4][4];
       for (int kr = 0; kr < 4; ++kr) {
         for (int kc = 0; kc < 4; ++kc) {
-          const std::size_t idx = (r | offsets[kr]) * dim_ + (c | offsets[kc]);
-          er[kr][kc] = re_.data() + idx * kLanes;
-          ei[kr][kc] = im_.data() + idx * kLanes;
+          const std::size_t at =
+              ((r | offsets[kr]) * dim_ + (c | offsets[kc])) * kLanes;
+          er[kr][kc] = re + at;
+          ei[kr][kc] = im + at;
         }
       }
       if (ch.quarter_p != 0.0) {
-        double tr[kLanes], ti[kLanes];
 #pragma omp simd
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          tr[l] = ((er[0][0][l] + er[1][1][l]) + er[2][2][l]) + er[3][3][l];
-          ti[l] = ((ei[0][0][l] + ei[1][1][l]) + ei[2][2][l]) + ei[3][3][l];
-        }
-        for (int kr = 0; kr < 4; ++kr) {
-          for (int kc = 0; kc < 4; ++kc) {
-#pragma omp simd
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              er[kr][kc][l] *= ch.keep;
-              ei[kr][kc][l] *= ch.keep;
+        for (std::size_t j = 0; j < n; ++j) {
+          const double tr =
+              ((er[0][0][j] + er[1][1][j]) + er[2][2][j]) + er[3][3][j];
+          const double ti =
+              ((ei[0][0][j] + ei[1][1][j]) + ei[2][2][j]) + ei[3][3][j];
+          for (int kr = 0; kr < 4; ++kr) {
+            for (int kc = 0; kc < 4; ++kc) {
+              er[kr][kc][j] *= ch.keep;
+              ei[kr][kc][j] *= ch.keep;
             }
           }
-        }
-        for (int k = 0; k < 4; ++k) {
-#pragma omp simd
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            er[k][k][l] += ch.quarter_p * tr[l];
-            ei[k][k][l] += ch.quarter_p * ti[l];
+          for (int k = 0; k < 4; ++k) {
+            er[k][k][j] += ch.quarter_p * tr;
+            ei[k][k][j] += ch.quarter_p * ti;
           }
         }
       }
@@ -678,15 +706,15 @@ void BatchedDensityMatrix::apply_channel2(int qa, int qb,
         for (int rb = 0; rb < 2; ++rb) {
           for (int cb = 0; cb < 2; ++cb) {
 #pragma omp simd
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              er[rb][cb][l] += ch.gamma_a * er[2 + rb][2 + cb][l];
-              ei[rb][cb][l] += ch.gamma_a * ei[2 + rb][2 + cb][l];
-              er[2 + rb][2 + cb][l] *= ch.keep_a;
-              ei[2 + rb][2 + cb][l] *= ch.keep_a;
-              er[rb][2 + cb][l] *= ch.s_a;
-              ei[rb][2 + cb][l] *= ch.s_a;
-              er[2 + rb][cb][l] *= ch.s_a;
-              ei[2 + rb][cb][l] *= ch.s_a;
+            for (std::size_t j = 0; j < n; ++j) {
+              er[rb][cb][j] += ch.gamma_a * er[2 + rb][2 + cb][j];
+              ei[rb][cb][j] += ch.gamma_a * ei[2 + rb][2 + cb][j];
+              er[2 + rb][2 + cb][j] *= ch.keep_a;
+              ei[2 + rb][2 + cb][j] *= ch.keep_a;
+              er[rb][2 + cb][j] *= ch.s_a;
+              ei[rb][2 + cb][j] *= ch.s_a;
+              er[2 + rb][cb][j] *= ch.s_a;
+              ei[2 + rb][cb][j] *= ch.s_a;
             }
           }
         }
@@ -694,16 +722,24 @@ void BatchedDensityMatrix::apply_channel2(int qa, int qb,
       if (ch.gamma_b != 0.0 || ch.s_b != 1.0) {
         for (int ra = 0; ra < 2; ++ra) {
           for (int ca = 0; ca < 2; ++ca) {
+            double* e00r = er[2 * ra][2 * ca];
+            double* e00i = ei[2 * ra][2 * ca];
+            double* e01r = er[2 * ra][2 * ca + 1];
+            double* e01i = ei[2 * ra][2 * ca + 1];
+            double* e10r = er[2 * ra + 1][2 * ca];
+            double* e10i = ei[2 * ra + 1][2 * ca];
+            double* e11r = er[2 * ra + 1][2 * ca + 1];
+            double* e11i = ei[2 * ra + 1][2 * ca + 1];
 #pragma omp simd
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              er[2 * ra][2 * ca][l] += ch.gamma_b * er[2 * ra + 1][2 * ca + 1][l];
-              ei[2 * ra][2 * ca][l] += ch.gamma_b * ei[2 * ra + 1][2 * ca + 1][l];
-              er[2 * ra + 1][2 * ca + 1][l] *= ch.keep_b;
-              ei[2 * ra + 1][2 * ca + 1][l] *= ch.keep_b;
-              er[2 * ra][2 * ca + 1][l] *= ch.s_b;
-              ei[2 * ra][2 * ca + 1][l] *= ch.s_b;
-              er[2 * ra + 1][2 * ca][l] *= ch.s_b;
-              ei[2 * ra + 1][2 * ca][l] *= ch.s_b;
+            for (std::size_t j = 0; j < n; ++j) {
+              e00r[j] += ch.gamma_b * e11r[j];
+              e00i[j] += ch.gamma_b * e11i[j];
+              e11r[j] *= ch.keep_b;
+              e11i[j] *= ch.keep_b;
+              e01r[j] *= ch.s_b;
+              e01i[j] *= ch.s_b;
+              e10r[j] *= ch.s_b;
+              e10i[j] *= ch.s_b;
             }
           }
         }
@@ -712,13 +748,29 @@ void BatchedDensityMatrix::apply_channel2(int qa, int qb,
   }
 }
 
-void BatchedDensityMatrix::lane_probabilities(std::size_t lane,
-                                              std::vector<double>& probs) const {
+template <std::size_t W>
+void BatchedDensityMatrix<W>::lane_probabilities(
+    std::size_t lane, std::vector<double>& probs) const {
   require(lane < kLanes, "lane index out of range");
   probs.resize(dim_);
   for (std::size_t i = 0; i < dim_; ++i) {
     probs[i] = re_[(i * dim_ + i) * kLanes + lane];
   }
 }
+
+template <std::size_t W>
+std::vector<cplx> BatchedDensityMatrix<W>::lane_matrix(std::size_t lane) const {
+  require(lane < kLanes, "lane index out of range");
+  std::vector<cplx> rho(dim_ * dim_);
+  for (std::size_t i = 0; i < rho.size(); ++i) {
+    rho[i] = cplx{re_[i * kLanes + lane], im_[i * kLanes + lane]};
+  }
+  return rho;
+}
+
+template class BatchedStateVector<1>;
+template class BatchedStateVector<kBlockLanes>;
+template class BatchedDensityMatrix<1>;
+template class BatchedDensityMatrix<kBlockLanes>;
 
 }  // namespace qucad

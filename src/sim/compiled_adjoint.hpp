@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 
 #include "sim/adjoint.hpp"
@@ -29,50 +28,20 @@ namespace qucad {
 /// source up to global phase, `<Z>(theta, x)` — and therefore every gradient —
 /// agrees with the logical-circuit adjoint exactly (tested at 1e-10).
 
-/// Reusable scratch for compiled_adjoint_gradient. Thread it through batch
-/// loops (one workspace per worker thread) so per-sample replays allocate
-/// nothing; the workspace is resized on first use and whenever the qubit
-/// count changes. A workspace must not be shared between concurrent calls.
-struct AdjointWorkspace {
-  StateVector ket{1};  ///< forward state |psi>
-  StateVector lam{1};  ///< adjoint state, U_{k+1}^dag..U_N^dag O|psi>
-  /// Angle-resolved symbolic-op matrices recorded by the forward replay and
-  /// daggered by the reverse sweep (see CompiledProgram::run_pure).
-  std::vector<std::array<cplx, 4>> resolved;
-};
-
-/// Exact gradient of `<O_eff>` via adjoint differentiation over a compiled
-/// noiseless program (program.has_channels() must be false). One forward and
-/// one reverse replay of the op-stream, O(compiled ops) regardless of
-/// parameter count.
-///
-/// `weight_fn` receives `<Z_q>` for every qubit (indexed by qubit id, matching
-/// the sim/adjoint.hpp contract — NOT readout-slot order) and returns the
-/// per-qubit observable weights, i.e. the upstream derivative `dL/d<Z_q>`.
-/// The returned gradients vector has max(program.num_trainable(),
-/// theta.size()) entries; parameters whose RZs were elided as trailing
-/// diagonals get their exact gradient of zero.
-AdjointResult compiled_adjoint_gradient(const CompiledProgram& program,
-                                        std::span<const double> theta,
-                                        std::span<const double> x,
-                                        const ObservableWeightFn& weight_fn,
-                                        AdjointWorkspace* workspace = nullptr);
-
-/// Convenience overload with fixed per-qubit weights.
-AdjointResult compiled_adjoint_gradient(const CompiledProgram& program,
-                                        std::span<const double> theta,
-                                        std::span<const double> x,
-                                        std::vector<double> fixed_weights,
-                                        AdjointWorkspace* workspace = nullptr);
-
-/// Reusable scratch for compiled_adjoint_gradient_lanes — the SoA lane
-/// counterpart of AdjointWorkspace (one per worker thread, never shared
-/// between concurrent calls). Heap-held so the workspace stays cheap to
-/// construct and resizes lazily on first use / qubit-count change.
+/// Reusable scratch for compiled_adjoint_gradient_lanes, sized for one
+/// qubit count. Thread it through batch loops (one workspace per worker
+/// thread, never shared between concurrent calls; thread_scratch provides
+/// one) so replays allocate nothing.
+template <std::size_t W>
 struct LaneAdjointWorkspace {
-  std::unique_ptr<BatchedStateVector> ket;  ///< forward lanes |psi>
-  std::unique_ptr<BatchedStateVector> lam;  ///< adjoint lanes
-  /// Per-lane angle-resolved matrices, `[op * kLanes + lane]` (see
+  explicit LaneAdjointWorkspace(int num_qubits)
+      : ket(num_qubits), lam(num_qubits) {}
+
+  int num_qubits() const { return ket.num_qubits(); }
+
+  BatchedStateVector<W> ket;  ///< forward lanes |psi>
+  BatchedStateVector<W> lam;  ///< adjoint lanes, U_{k+1}^dag..U_N^dag O|psi>
+  /// Per-lane angle-resolved matrices, `[op * W + lane]` (see
   /// CompiledProgram::run_pure_lanes).
   std::vector<std::array<cplx, 4>> resolved;
 };
@@ -89,16 +58,25 @@ struct LaneAdjointResult {
   std::vector<std::vector<double>> gradients;       ///< [lane][param]
 };
 
-/// Adjoint differentiation over BatchedStateVector::kLanes samples at once:
-/// one SoA forward replay, one SoA reverse sweep with lane-wide duals, each
-/// lane accumulating its own gradient vector. theta is shared across lanes
-/// (the batch-training shape); `xs[lane]` must hold at least
-/// program.num_inputs() entries, validated by the batch entry points.
-/// Matches the per-sample compiled_adjoint_gradient at 1e-10.
+/// Exact gradient of `<O_eff>` via adjoint differentiation over a compiled
+/// noiseless program (program.has_channels() must be false), for W samples
+/// at once: one SoA forward replay, one SoA reverse sweep with lane-wide
+/// duals, each lane accumulating its own gradient vector. O(compiled ops)
+/// regardless of parameter count. theta is shared across lanes (the
+/// batch-training shape); `xs[lane]` must hold at least
+/// program.num_inputs() entries, validated by the entry points.
+///
+/// `weight_fn` receives each lane's `<Z_q>` for every qubit (indexed by
+/// qubit id, matching the sim/adjoint.hpp contract — NOT readout-slot order)
+/// and returns the per-qubit observable weights. Each lane's gradients
+/// vector has max(program.num_trainable(), theta.size()) entries;
+/// parameters whose RZs were elided as trailing diagonals get their exact
+/// gradient of zero. Matches the logical-circuit adjoint_gradient at 1e-10,
+/// and a lane's results do not depend on W.
+template <std::size_t W>
 LaneAdjointResult compiled_adjoint_gradient_lanes(
     const CompiledProgram& program, std::span<const double> theta,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
-    const LaneObservableWeightFn& weight_fn,
-    LaneAdjointWorkspace* workspace = nullptr);
+    const LaneInputs<W>& xs, const LaneObservableWeightFn& weight_fn,
+    LaneAdjointWorkspace<W>* workspace = nullptr);
 
 }  // namespace qucad

@@ -4,6 +4,7 @@
 
 #include "common/require.hpp"
 #include "linalg/gates.hpp"
+#include "sim/statevector.hpp"
 
 namespace qucad {
 
@@ -400,63 +401,17 @@ double resolve_sym_angle(const CompiledOp& op, std::span<const double> x,
   return op.angle_offset;  // literal (CRot2 with a fully bound interior)
 }
 
-void CompiledProgram::run(DensityMatrix& dm, std::span<const double> x,
-                          std::span<const double> theta) const {
-  require(dm.num_qubits() == num_qubits_, "scratch matrix qubit count mismatch");
-  dm.reset();
-  for (const CompiledOp& op : ops_) {
-    switch (op.kind) {
-      case COpKind::Unitary1:
-        dm.apply1(op.q0, op.u);
-        break;
-      case COpKind::Diag1:
-        dm.apply_diag1(op.q0, op.u[0], op.u[3]);
-        break;
-      case COpKind::SymDiag1: {
-        const auto [d0, d1] = rz_diag(resolve_sym_angle(op, x, theta));
-        dm.apply_diag1(op.q0, d0, d1);
-        break;
-      }
-      case COpKind::SymUni1:
-        dm.apply1(op.q0, sym_uni_matrix(op, resolve_sym_angle(op, x, theta)));
-        break;
-      case COpKind::CRot2: {
-        // CX (I (x) M) CX is block-diagonal: M on control-0, X M X on
-        // control-1 (local index = 2*bit(q0) + bit(q1), q0 = control).
-        const std::array<cplx, 4> m =
-            crot_inner_matrix(op, resolve_sym_angle(op, x, theta));
-        const cplx zero{0.0, 0.0};
-        dm.apply2(op.q0, op.q1,
-                  {m[0], m[1], zero, zero,      //
-                   m[2], m[3], zero, zero,      //
-                   zero, zero, m[3], m[2],      //
-                   zero, zero, m[1], m[0]});
-        break;
-      }
-      case COpKind::Cx:
-        dm.apply_cx(op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-        dm.apply_channel1(op.q0, op.ch1);
-        break;
-      case COpKind::Channel2:
-        dm.apply_channel2(op.q0, op.q1, op.ch2);
-        break;
-    }
-  }
-}
-
-void CompiledProgram::run_lanes(
-    BatchedDensityMatrix& bdm,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
-    std::span<const double> theta) const {
-  constexpr std::size_t kLanes = BatchedDensityMatrix::kLanes;
+template <std::size_t W>
+void CompiledProgram::run_lanes(BatchedDensityMatrix<W>& bdm,
+                                const LaneInputs<W>& xs,
+                                std::span<const double> theta) const {
+  constexpr std::size_t kLanes = W;
   require(bdm.num_qubits() == num_qubits_,
           "scratch matrix qubit count mismatch");
   bdm.reset();
   const std::size_t ni = static_cast<std::size_t>(num_inputs_);
   // Same validated-row contract as run_pure_lanes: every lane's span covers
-  // num_inputs() entries, so angle resolution is the SAME code path as run().
+  // num_inputs() entries, so resolve_sym_angle's bounds check always passes.
   auto lane_x = [&](std::size_t lane) {
     return std::span<const double>(xs[lane], ni);
   };
@@ -500,7 +455,7 @@ void CompiledProgram::run_lanes(
         break;
       }
       case COpKind::CRot2: {
-        // Same block-diagonal 4x4 as run(): M on control-0, X M X on
+        // CX (I (x) M) CX is block-diagonal: M on control-0, X M X on
         // control-1 (local index = 2*bit(q0) + bit(q1), q0 = control).
         auto block = [&](const std::array<cplx, 4>& m) {
           return std::array<cplx, 16>{m[0], m[1], zero, zero,  //
@@ -535,78 +490,12 @@ void CompiledProgram::run_lanes(
   }
 }
 
-void CompiledProgram::run_pure(StateVector& sv, std::span<const double> x,
-                               std::span<const double> theta,
-                               std::vector<std::array<cplx, 4>>* resolved) const {
-  require(sv.num_qubits() == num_qubits_, "scratch state qubit count mismatch");
-  require(!has_channels(),
-          "run_pure requires a noiseless program (no channel ops)");
-  if (resolved != nullptr) resolved->resize(ops_.size());
-  sv.reset();
-  for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
-    const CompiledOp& op = ops_[idx];
-    switch (op.kind) {
-      case COpKind::Unitary1:
-        sv.apply1(op.q0, op.u);
-        break;
-      case COpKind::Diag1:
-        sv.apply_diag1(op.q0, op.u[0], op.u[3]);
-        break;
-      case COpKind::SymDiag1: {
-        const auto [d0, d1] = rz_diag(resolve_sym_angle(op, x, theta));
-        if (resolved != nullptr) {
-          (*resolved)[idx] = {d0, cplx{0.0, 0.0}, cplx{0.0, 0.0}, d1};
-        }
-        sv.apply_diag1(op.q0, d0, d1);
-        break;
-      }
-      case COpKind::SymUni1: {
-        const std::array<cplx, 4> m =
-            sym_uni_matrix(op, resolve_sym_angle(op, x, theta));
-        if (resolved != nullptr) (*resolved)[idx] = m;
-        sv.apply1(op.q0, m);
-        break;
-      }
-      case COpKind::CRot2: {
-        const std::array<cplx, 4> m =
-            crot_inner_matrix(op, resolve_sym_angle(op, x, theta));
-        if (resolved != nullptr) (*resolved)[idx] = m;
-        // One pass over the 4-tuples: M on the control-0 target pair,
-        // X M X on the control-1 pair.
-        auto& amps = sv.amplitudes();
-        const std::size_t mc = std::size_t{1} << op.q0;
-        const std::size_t mt = std::size_t{1} << op.q1;
-        for (std::size_t i = 0; i < amps.size(); ++i) {
-          if ((i & mc) || (i & mt)) continue;
-          const std::size_t i00 = i;
-          const std::size_t i01 = i | mt;
-          const std::size_t i10 = i | mc;
-          const std::size_t i11 = i | mc | mt;
-          const cplx a00 = amps[i00], a01 = amps[i01];
-          amps[i00] = m[0] * a00 + m[1] * a01;
-          amps[i01] = m[2] * a00 + m[3] * a01;
-          const cplx a10 = amps[i10], a11 = amps[i11];
-          amps[i10] = m[3] * a10 + m[2] * a11;
-          amps[i11] = m[1] * a10 + m[0] * a11;
-        }
-        break;
-      }
-      case COpKind::Cx:
-        sv.apply_cx(op.q0, op.q1);
-        break;
-      case COpKind::Channel1:
-      case COpKind::Channel2:
-        break;  // unreachable: guarded by the has_channels() require above
-    }
-  }
-}
-
+template <std::size_t W>
 void CompiledProgram::run_pure_lanes(
-    BatchedStateVector& bsv,
-    const std::array<const double*, BatchedStateVector::kLanes>& xs,
+    BatchedStateVector<W>& bsv, const LaneInputs<W>& xs,
     std::span<const double> theta,
     std::vector<std::array<cplx, 4>>* resolved) const {
-  constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+  constexpr std::size_t kLanes = W;
   require(bsv.num_qubits() == num_qubits_,
           "scratch state qubit count mismatch");
   require(!has_channels(),
@@ -614,9 +503,9 @@ void CompiledProgram::run_pure_lanes(
   if (resolved != nullptr) resolved->resize(ops_.size() * kLanes);
   bsv.reset();
   const std::size_t ni = static_cast<std::size_t>(num_inputs_);
-  // Lane's feature row as a span: batch entry points validated each row
-  // holds >= num_inputs() entries, so resolve_sym_angle's bounds check
-  // always passes and angle resolution is the SAME code path as run_pure.
+  // Lane's feature row as a span: the entry points validated each row holds
+  // >= num_inputs() entries, so resolve_sym_angle's bounds check always
+  // passes.
   auto lane_x = [&](std::size_t lane) {
     return std::span<const double>(xs[lane], ni);
   };
@@ -706,5 +595,18 @@ void CompiledProgram::run_pure_lanes(
     }
   }
 }
+
+template void CompiledProgram::run_lanes<1>(BatchedDensityMatrix<1>&,
+                                            const LaneInputs<1>&,
+                                            std::span<const double>) const;
+template void CompiledProgram::run_lanes<kBlockLanes>(
+    BatchedDensityMatrix<kBlockLanes>&, const LaneInputs<kBlockLanes>&,
+    std::span<const double>) const;
+template void CompiledProgram::run_pure_lanes<1>(
+    BatchedStateVector<1>&, const LaneInputs<1>&, std::span<const double>,
+    std::vector<std::array<cplx, 4>>*) const;
+template void CompiledProgram::run_pure_lanes<kBlockLanes>(
+    BatchedStateVector<kBlockLanes>&, const LaneInputs<kBlockLanes>&,
+    std::span<const double>, std::vector<std::array<cplx, 4>>*) const;
 
 }  // namespace qucad

@@ -6,10 +6,9 @@
 #include <span>
 #include <vector>
 
+#include "linalg/matrix.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/batched_state.hpp"
-#include "sim/density_matrix.hpp"
-#include "sim/statevector.hpp"
 #include "transpile/physical.hpp"
 
 namespace qucad {
@@ -17,14 +16,52 @@ namespace qucad {
 /// \file
 /// The shared compiled-program abstraction: a PhysicalCircuit (optionally
 /// with a NoiseModel folded in) lowered ONCE into a flat, replayable op
-/// stream. Two engines replay it:
+/// stream. Two engines replay it, each over a BatchedDensityMatrix<W> or
+/// BatchedStateVector<W> of W samples (sim/batched_state.hpp):
 ///   - the density-matrix engine (NoisyExecutor::run_z / run_z_batch), which
 ///     replays one program per evaluation sample, and
-///   - the pure-statevector engine (PureExecutor / compiled_adjoint_gradient),
-///     which replays one program per (sample, theta) pair during training.
+///   - the pure-statevector engine (PureExecutor /
+///     compiled_adjoint_gradient_lanes), which replays one program per
+///     (sample, theta) pair during training.
 /// Symbolic slots are the reason a single program can be shared: RZ angles
 /// affine in an input-encoding slot stay symbolic across samples, and RZ
 /// angles affine in a trainable slot stay symbolic across optimizer steps.
+
+/// Precomputed single-qubit error site: a depolarizing channel followed by
+/// thermal relaxation, folded into one linear map per 2x2 block of the
+/// target-qubit subspace. The populations mix through a real 2x2 matrix and
+/// the coherences scale by a single real factor, so the whole composite
+/// applies in one pass over rho (the lane kernel `apply_channel1` in
+/// sim/batched_state.hpp).
+struct FusedChannel1 {
+  double d00_00 = 1.0;  // rho00 <- d00_00*rho00 + d00_11*rho11
+  double d00_11 = 0.0;
+  double d11_00 = 0.0;  // rho11 <- d11_00*rho00 + d11_11*rho11
+  double d11_11 = 1.0;
+  double off = 1.0;     // rho01, rho10 scale
+
+  bool is_identity() const {
+    return d00_00 == 1.0 && d00_11 == 0.0 && d11_00 == 0.0 && d11_11 == 1.0 &&
+           off == 1.0;
+  }
+};
+
+/// Precomputed CX error site: two-qubit depolarizing plus per-qubit thermal
+/// relaxation on both operands, applied in one pass per 4x4 block
+/// (the lane kernel `apply_channel2`). `a` refers to the lower qubit
+/// index of the pair, `b` to the higher, matching NoiseModel::cx_noise
+/// storage.
+struct FusedChannel2 {
+  double keep = 1.0;       // 1 - p of the two-qubit depolarizing term
+  double quarter_p = 0.0;  // p / 4 redistribution weight
+  double gamma_a = 0.0, keep_a = 1.0, s_a = 1.0;  // thermal on min(q)
+  double gamma_b = 0.0, keep_b = 1.0, s_b = 1.0;  // thermal on max(q)
+
+  bool is_identity() const {
+    return keep == 1.0 && quarter_p == 0.0 && gamma_a == 0.0 && s_a == 1.0 &&
+           gamma_b == 0.0 && s_b == 1.0;
+  }
+};
 
 /// Op vocabulary of a compiled program. The lowering pass turns a
 /// PhysicalCircuit + NoiseModel into a flat stream of these so that every
@@ -115,9 +152,9 @@ struct CompileStats {
 ///
 /// Invariants:
 ///  - Immutable after compile(); all replay methods are const and safe to
-///    call concurrently. Each replay writes only the caller's scratch state
-///    (DensityMatrix or StateVector), so per-thread scratch reuse — the
-///    run_z_batch / batch_loss_grad threading pattern — needs no locking.
+///    call concurrently. Each replay writes only the caller's scratch lane
+///    state, so per-thread scratch reuse — the run_z_batch /
+///    batch_loss_grad threading pattern — needs no locking.
 ///  - Symbolic slots survive compilation: input-symbolic RZ angles are
 ///    resolved against `x` and trainable-symbolic RZ angles against `theta`
 ///    at replay time, so one program serves every (sample, theta) pair.
@@ -146,59 +183,34 @@ class CompiledProgram {
   const std::vector<CompiledOp>& ops() const { return ops_; }
   const CompileStats& stats() const { return stats_; }
 
-  /// Replays the program on `dm` for input sample `x` and parameters
-  /// `theta` (pass an empty span when the program has no trainable slots,
-  /// i.e. theta was bound before lowering). `dm` is reset first, so a
-  /// caller-owned scratch matrix can be reused across samples without
-  /// reallocation.
-  void run(DensityMatrix& dm, std::span<const double> x,
-           std::span<const double> theta = {}) const;
-
-  /// Replays the program (channels included) over
-  /// BatchedDensityMatrix::kLanes samples at once — the SoA lane
-  /// counterpart of run(). `xs[lane]` points at that lane's feature vector,
-  /// which the CALLER must have validated to hold at least num_inputs()
-  /// entries (the batch entry points do this up front). theta and every
-  /// error channel are lane-uniform; only input-symbolic RZ angles diverge
-  /// per lane. Walks the SAME op stream with the same angle helpers as
-  /// run(), so each lane's entries are bitwise identical to a scalar run()
-  /// of that sample (see sim/batched_state.hpp).
-  void run_lanes(BatchedDensityMatrix& bdm,
-                 const std::array<const double*, BatchedStateVector::kLanes>& xs,
+  /// Replays the program (channels included) on W samples at once.
+  /// `xs[lane]` points at that lane's feature vector, which the CALLER must
+  /// have validated to hold at least num_inputs() entries (the entry points
+  /// do this up front). theta is shared by every lane (pass an empty span
+  /// when theta was bound before lowering) and every error channel is
+  /// lane-uniform; only input-symbolic RZ angles diverge per lane. `bdm` is
+  /// reset first, so caller-owned scratch can be reused across blocks.
+  /// With elision disabled, each lane's final matrix matches the
+  /// gate-by-gate reference to 1e-10, off-diagonals included.
+  template <std::size_t W>
+  void run_lanes(BatchedDensityMatrix<W>& bdm, const LaneInputs<W>& xs,
                  std::span<const double> theta = {}) const;
 
-  /// Replays a noiseless program on `sv` — the compiled forward pass of the
-  /// statevector training path. Requires has_channels() == false. `sv` is
-  /// reset first (same scratch-reuse contract as run()). With the default
-  /// CompileOptions the final state matches the gate-by-gate reference up to
-  /// a global phase and elided trailing virtual-Z rotations; probabilities
-  /// and every `<Z>` match exactly.
+  /// Replays a noiseless program on W samples at once — the compiled
+  /// forward pass of the statevector engines. Requires has_channels() ==
+  /// false; same input and scratch contract as run_lanes. With the default
+  /// CompileOptions each lane's final state matches the gate-by-gate
+  /// reference up to a global phase and elided trailing virtual-Z
+  /// rotations; probabilities and every `<Z>` match exactly.
   ///
-  /// When `resolved` is non-null it is resized to ops().size() and entry i
-  /// receives the angle-resolved 2x2 of symbolic op i (SymDiag1 diagonal in
-  /// [0]/[3], SymUni1 full matrix, CRot2 interior matrix) — the adjoint's
-  /// reverse sweep daggers these instead of re-resolving every op.
-  void run_pure(StateVector& sv, std::span<const double> x,
-                std::span<const double> theta = {},
-                std::vector<std::array<cplx, 4>>* resolved = nullptr) const;
-
-  /// Replays a noiseless program over BatchedStateVector::kLanes samples at
-  /// once — the SoA lane counterpart of run_pure. `xs[lane]` points at that
-  /// lane's feature vector, which the CALLER must have validated to hold at
-  /// least num_inputs() entries (the batch entry points do this up front).
-  /// theta is shared by every lane, so only input-symbolic angles diverge
-  /// per lane; every other op is applied with one broadcast matrix.
-  ///
-  /// Walks the SAME op stream as run_pure and builds per-lane matrices with
-  /// the same helpers, so each lane's amplitudes are bitwise identical to a
-  /// scalar run_pure of that sample (see sim/batched_state.hpp).
-  ///
-  /// When `resolved` is non-null it is resized to ops().size() * kLanes and
-  /// entry `idx * kLanes + lane` receives lane's angle-resolved 2x2 of
-  /// symbolic op idx — the lane adjoint's reverse-sweep input.
+  /// When `resolved` is non-null it is resized to ops().size() * W and
+  /// entry `idx * W + lane` receives lane's angle-resolved 2x2 of symbolic
+  /// op idx (SymDiag1 diagonal in [0]/[3], SymUni1 full matrix, CRot2
+  /// interior matrix) — the adjoint's reverse sweep daggers these instead
+  /// of re-resolving every op.
+  template <std::size_t W>
   void run_pure_lanes(
-      BatchedStateVector& bsv,
-      const std::array<const double*, BatchedStateVector::kLanes>& xs,
+      BatchedStateVector<W>& bsv, const LaneInputs<W>& xs,
       std::span<const double> theta = {},
       std::vector<std::array<cplx, 4>>* resolved = nullptr) const;
 

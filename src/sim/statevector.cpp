@@ -93,25 +93,6 @@ void StateVector::apply2(int q0, int q1, const std::array<cplx, 16>& m) {
   }
 }
 
-void StateVector::apply_diag1(int q, cplx d0, cplx d1) {
-  require(q >= 0 && q < num_qubits_, "qubit index out of range");
-  const std::size_t mq = std::size_t{1} << q;
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    amps_[i] *= (i & mq) ? d1 : d0;
-  }
-}
-
-void StateVector::apply_cx(int control, int target) {
-  require(control >= 0 && control < num_qubits_ && target >= 0 &&
-              target < num_qubits_ && control != target,
-          "invalid qubit pair");
-  const std::size_t mc = std::size_t{1} << control;
-  const std::size_t mt = std::size_t{1} << target;
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    if ((i & mc) && !(i & mt)) std::swap(amps_[i], amps_[i | mt]);
-  }
-}
-
 void StateVector::apply_gate(const Gate& gate, double angle) {
   // Fast paths for the most common structured gates. They must enforce the
   // same qubit-range preconditions as apply1/apply2: an out-of-range shift
@@ -169,17 +150,6 @@ double StateVector::expectation_z(int q) const {
     acc += (i & mq) ? -p : p;
   }
   return acc;
-}
-
-std::vector<double> StateVector::all_z_expectations() const {
-  std::vector<double> z(static_cast<std::size_t>(num_qubits_), 0.0);
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    const double p = std::norm(amps_[i]);
-    for (int q = 0; q < num_qubits_; ++q) {
-      z[static_cast<std::size_t>(q)] += (i >> q) & 1 ? -p : p;
-    }
-  }
-  return z;
 }
 
 std::vector<double> StateVector::probabilities() const {

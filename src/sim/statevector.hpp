@@ -35,15 +35,6 @@ class StateVector {
   /// Applies a 4x4 matrix (row-major) to the ordered pair (q0, q1).
   void apply2(int q0, int q1, const std::array<cplx, 16>& m);
 
-  /// Applies a diagonal single-qubit unitary diag(d0, d1) to qubit q — one
-  /// multiply per amplitude, no pairing pass. The RZ/virtual-Z fast path of
-  /// the compiled statevector engine.
-  void apply_diag1(int q, cplx d0, cplx d1);
-
-  /// Applies CX as an index permutation (amplitude swaps) instead of a 4x4
-  /// multiply pass.
-  void apply_cx(int control, int target);
-
   /// Applies a gate with an explicit angle (ignored for fixed gates).
   void apply_gate(const Gate& gate, double angle);
 
@@ -53,10 +44,6 @@ class StateVector {
 
   /// <Z_q> of the current state.
   double expectation_z(int q) const;
-
-  /// <Z_q> for every qubit, computed in one pass over the amplitudes
-  /// (expectation_z per qubit would make num_qubits passes).
-  std::vector<double> all_z_expectations() const;
 
   /// |amp|^2 for every basis state.
   std::vector<double> probabilities() const;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,7 +45,8 @@ class NoisyExecutor {
                 CompileOptions compile_options = {});
 
   /// `<Z>` of each readout slot, ordered by position in
-  /// circuit.readout_physical() — NOT indexed by qubit id. Exact.
+  /// circuit.readout_physical() — NOT indexed by qubit id. Exact; replayed
+  /// at lane width 1.
   std::vector<double> run_z(std::span<const double> x) const;
 
   /// Shot-sampled estimate of run_z.
@@ -52,24 +54,22 @@ class NoisyExecutor {
                                   Rng& rng) const;
 
   /// Batched run_z over many samples, spread over `pool` (nullptr = the
-  /// process-global pool) with per-thread density-matrix scratch reuse.
-  /// shots <= 0 gives exact expectations; otherwise sample i draws `shots`
-  /// shots from an Rng seeded with shot_seed + i (matching noisy_evaluate).
-  /// Every row is validated against the program's input arity up front, on
-  /// the calling thread — a ragged batch fails here, not inside a worker.
+  /// process-global pool) with per-thread scratch reuse. shots <= 0 gives
+  /// exact expectations; otherwise sample i draws `shots` shots from an Rng
+  /// seeded with shot_seed + i (matching noisy_evaluate). Every row is
+  /// validated against the program's input arity up front, on the calling
+  /// thread — a ragged batch fails here, not inside a worker.
   ///
-  /// Full blocks of BatchedDensityMatrix::kLanes samples replay through the
-  /// SoA lane engine (one walk of the op stream per block); the ragged tail
-  /// falls back to per-sample replay. Lane entries are bitwise identical to
-  /// the scalar reference, and readout/shot post-processing runs the SAME
-  /// scalar code per lane, so `replay` never changes results — kScalar
-  /// forces the per-sample path, kAuto honours QUCAD_SCALAR_REPLAY.
-  /// Circuits wider than BatchedDensityMatrix::kMaxQubits always take the
-  /// per-sample path (lane scratch is dim^2 * kLanes entries).
+  /// Full blocks of kBlockLanes samples replay at lane width kBlockLanes
+  /// (one walk of the op stream per block) and the ragged tail at width 1,
+  /// the width run_z uses; circuits wider than
+  /// BatchedDensityMatrix<kBlockLanes>::kMaxQubits replay every sample at
+  /// width 1. Both widths share one kernel source and readout/shot
+  /// post-processing runs per sample, so a sample's result does not depend
+  /// on its position in the batch.
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs, int shots = 0,
-      std::uint64_t shot_seed = 99, ThreadPool* pool = nullptr,
-      BatchReplay replay = BatchReplay::kAuto) const;
+      std::uint64_t shot_seed = 99, ThreadPool* pool = nullptr) const;
 
   /// Final density matrix (before readout error) via the legacy gate-by-gate
   /// walk. Reference path for the compiled engine's equivalence tests.
@@ -83,8 +83,13 @@ class NoisyExecutor {
   const CompiledProgram& program() const { return program_; }
 
  private:
-  std::vector<double> run_z_into(std::span<const double> x, DensityMatrix& dm,
-                                 int shots, Rng* rng) const;
+  /// Replays `xs` into this thread's width-W scratch and returns it.
+  template <std::size_t W>
+  const BatchedDensityMatrix<W>& replay(const LaneInputs<W>& xs) const;
+  /// Readout confusion, optional shot sampling and `<Z>` of one lane.
+  template <std::size_t W>
+  std::vector<double> finish_lane(const BatchedDensityMatrix<W>& bdm,
+                                  std::size_t lane, int shots, Rng* rng) const;
   std::vector<double> z_from_probs(const std::vector<double>& probs) const;
   std::vector<double> finish_probs(std::vector<double> probs, int shots,
                                    Rng* rng) const;
@@ -112,13 +117,13 @@ class NoisyExecutor {
 ///
 /// Readout contract (same as NoisyExecutor): run_z output is ordered by
 /// position in circuit.readout_physical() — slot k is class k — never
-/// indexed by qubit id. adjoint() follows the sim/adjoint.hpp contract
-/// instead: z_expectations has one entry PER QUBIT, because the observable
-/// weight hook needs the full vector.
+/// indexed by qubit id. The adjoint (compiled_adjoint_gradient_lanes over
+/// program()) follows the sim/adjoint.hpp contract instead: z_expectations
+/// has one entry PER QUBIT, because the observable weight hook needs the
+/// full vector.
 ///
-/// All run methods are const and safe to call concurrently; per-thread
-/// scratch (StateVector / AdjointWorkspace) is the caller's to thread
-/// through batch loops.
+/// All run methods are const and safe to call concurrently; replays use
+/// per-thread scratch.
 class PureExecutor {
  public:
   /// Takes a copy: the executor is self-contained (same rationale as
@@ -126,50 +131,26 @@ class PureExecutor {
   explicit PureExecutor(PhysicalCircuit circuit,
                         CompileOptions compile_options = {});
 
-  /// `<Z>` of each readout slot for one (sample, theta) replay, ordered by
-  /// position in circuit.readout_physical().
+  /// `<Z>` of each readout slot for one (sample, theta) replay at lane width
+  /// 1, ordered by position in circuit.readout_physical().
   std::vector<double> run_z(std::span<const double> x,
                             std::span<const double> theta = {}) const;
 
-  /// Batched run_z: full blocks of BatchedStateVector::kLanes samples replay
-  /// through the SoA lane engine (one pass of the op stream per block) and
-  /// the ragged tail falls back to per-sample run_z, all spread over `pool`
-  /// (nullptr = the process-global pool). `replay` picks the engine —
-  /// kScalar is the 1e-10-pinned per-sample reference, kAuto honours the
-  /// QUCAD_SCALAR_REPLAY kill switch. Every row is validated against the
-  /// program's input arity up front, on the calling thread.
+  /// run_z of W samples in one replay: entry `lane` of the result belongs to
+  /// `xs[lane]`, which must hold at least program().num_inputs() entries
+  /// (callers validate). A lane's result does not depend on W.
+  template <std::size_t W>
+  std::array<std::vector<double>, W> run_z_lanes(
+      const LaneInputs<W>& xs, std::span<const double> theta = {}) const;
+
+  /// Batched run_z over `pool` (nullptr = the process-global pool): full
+  /// blocks of kBlockLanes samples replay at that lane width (one pass of
+  /// the op stream per block) and the ragged tail at width 1. Every row is
+  /// validated against the program's input arity up front, on the calling
+  /// thread.
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs,
-      std::span<const double> theta = {}, ThreadPool* pool = nullptr,
-      BatchReplay replay = BatchReplay::kAuto) const;
-
-  /// Replays the compiled forward pass into caller-owned scratch.
-  void run_state(StateVector& sv, std::span<const double> x,
-                 std::span<const double> theta = {}) const;
-
-  /// Lane forward pass into caller-owned SoA scratch: `xs[lane]` must hold
-  /// at least program().num_inputs() entries (callers validate — see
-  /// CompiledProgram::run_pure_lanes).
-  void run_state_lanes(
-      BatchedStateVector& bsv,
-      const std::array<const double*, BatchedStateVector::kLanes>& xs,
-      std::span<const double> theta = {}) const;
-
-  /// Compiled adjoint pass (see sim/compiled_adjoint.hpp). Pass a per-thread
-  /// workspace to make batched gradient loops allocation-free.
-  AdjointResult adjoint(std::span<const double> theta,
-                        std::span<const double> x,
-                        const ObservableWeightFn& weight_fn,
-                        AdjointWorkspace* workspace = nullptr) const;
-
-  /// Lane adjoint pass over kLanes samples at once (see
-  /// sim/compiled_adjoint.hpp) — the gradient engine behind the batched
-  /// batch_loss_grad path. Same scratch-threading contract as adjoint().
-  LaneAdjointResult adjoint_lanes(
-      std::span<const double> theta,
-      const std::array<const double*, BatchedStateVector::kLanes>& xs,
-      const LaneObservableWeightFn& weight_fn,
-      LaneAdjointWorkspace* workspace = nullptr) const;
+      std::span<const double> theta = {}, ThreadPool* pool = nullptr) const;
 
   int num_trainable() const { return program_.num_trainable(); }
   const PhysicalCircuit& circuit() const { return circuit_; }

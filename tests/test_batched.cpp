@@ -1,10 +1,11 @@
-// Equivalence and regression suite for the SoA lane-batched replay engines
-// (sim/batched_state.hpp): the lane forward / adjoint paths must be bitwise
-// identical to the scalar per-sample replay (the 1e-10-pinned reference),
-// including the ragged tail of every batch size around the lane width; the
-// sampled backend's lane blocks must draw bit-for-bit the same shot streams
-// as the per-sample path; and the batch-boundary validation added with the
-// lane engines must reject short feature rows up front, on the calling
+// Equivalence and regression suite for the SoA lane replay engines
+// (sim/batched_state.hpp): a batch's full blocks replay at lane width
+// kBlockLanes and its ragged tail at width 1, the width of every
+// single-sample call. Both widths compile from one kernel source, so batch
+// results must be bitwise identical to one-sample calls — forward, adjoint
+// and shot draws alike, at every batch size around the block width — and
+// within 1e-10 of the gate-by-gate reference engines. Batch-boundary
+// validation must reject short feature rows up front, on the calling
 // thread.
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "backend/sampled_backend.hpp"
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "data/mnist_synth.hpp"
 #include "noise/calibration_history.hpp"
@@ -26,6 +28,7 @@
 #include "qnn/model.hpp"
 #include "qnn/trainer.hpp"
 #include "sim/batched_state.hpp"
+#include "sim/statevector.hpp"
 #include "transpile/executor.hpp"
 #include "transpile/transpiler.hpp"
 
@@ -36,7 +39,7 @@ namespace {
 
 using test::kAgreementTol;
 
-constexpr std::size_t kLanes = BatchedStateVector::kLanes;
+constexpr std::size_t kLanes = kBlockLanes;
 
 /// The paper model compiled symbolically plus enough synthetic samples to
 /// cover two full lane blocks and a ragged tail.
@@ -66,21 +69,23 @@ TEST(BatchedReplay, LaneForwardBitwiseMatchesScalarAcrossRaggedSizes) {
   // blocks + tail.
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
     const auto xs = first_rows(fx.data, n);
-    const auto lane =
-        fx.executor->run_z_batch(xs, fx.theta, nullptr, BatchReplay::kLanes);
-    const auto scalar =
-        fx.executor->run_z_batch(xs, fx.theta, nullptr, BatchReplay::kScalar);
-    ASSERT_EQ(lane.size(), n);
-    ASSERT_EQ(scalar.size(), n);
+    const auto batch = fx.executor->run_z_batch(xs, fx.theta);
+    ASSERT_EQ(batch.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      // Bitwise, not near: the sampled backend's shot streams depend on the
-      // lane amplitudes being exactly the scalar amplitudes.
-      EXPECT_EQ(lane[i], scalar[i]) << "batch size " << n << " sample " << i;
-      // And the documented 1e-10 contract against the per-sample engine.
-      const auto reference = fx.executor->run_z(xs[i], fx.theta);
-      ASSERT_EQ(lane[i].size(), reference.size());
-      for (std::size_t k = 0; k < reference.size(); ++k) {
-        EXPECT_NEAR(lane[i][k], reference[k], kAgreementTol)
+      // Bitwise, not near, against the width-1 single-sample call: the
+      // sampled backend's shot streams depend on a lane's amplitudes not
+      // depending on the lane width.
+      EXPECT_EQ(batch[i], fx.executor->run_z(xs[i], fx.theta))
+          << "batch size " << n << " sample " << i;
+      // And the documented 1e-10 contract against the gate-by-gate
+      // logical-circuit reference.
+      StateVector reference(fx.model.circuit.num_qubits());
+      reference.run(fx.model.circuit, fx.theta, xs[i]);
+      ASSERT_EQ(batch[i].size(), fx.model.readout_qubits.size());
+      for (std::size_t k = 0; k < batch[i].size(); ++k) {
+        EXPECT_NEAR(batch[i][k],
+                    reference.expectation_z(fx.model.readout_qubits[k]),
+                    kAgreementTol)
             << "batch size " << n << " sample " << i << " slot " << k;
       }
     }
@@ -94,40 +99,55 @@ TEST(BatchedReplay, LaneAdjointMatchesScalarAcrossRaggedSizes) {
                               2 * kLanes, 2 * kLanes + 1}) {
     const auto indices = iota_indices(n);
     const BatchGrad lane = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                           indices, logit_scale,
-                                           BatchReplay::kLanes);
-    const BatchGrad scalar = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                             indices, logit_scale,
-                                             BatchReplay::kScalar);
-    EXPECT_NEAR(lane.loss, scalar.loss, kAgreementTol) << "batch size " << n;
-    EXPECT_DOUBLE_EQ(lane.accuracy, scalar.accuracy) << "batch size " << n;
-    ASSERT_EQ(lane.grad.size(), scalar.grad.size());
-    ASSERT_EQ(lane.grad.size(), fx.theta.size());
-    for (std::size_t p = 0; p < lane.grad.size(); ++p) {
-      EXPECT_NEAR(lane.grad[p], scalar.grad[p], kAgreementTol)
-          << "batch size " << n << " parameter " << p;
+                                           indices, logit_scale);
+    const BatchGrad lane_fwd =
+        batch_loss(*fx.executor, fx.theta, fx.data, indices, logit_scale);
+    // The same batch as one-sample calls (every sample at lane width 1),
+    // summed in batch order and scaled as the batch entry points do — so
+    // the two sides must agree bitwise.
+    BatchGrad single;
+    single.grad.assign(fx.theta.size(), 0.0);
+    BatchGrad single_fwd;
+    for (const std::size_t i : indices) {
+      const std::size_t one[] = {i};
+      const BatchGrad g =
+          batch_loss_grad(*fx.executor, fx.theta, fx.data, one, logit_scale);
+      single.loss += g.loss;
+      single.accuracy += g.accuracy;
+      for (std::size_t p = 0; p < g.grad.size(); ++p) {
+        single.grad[p] += g.grad[p];
+      }
+      const BatchGrad f =
+          batch_loss(*fx.executor, fx.theta, fx.data, one, logit_scale);
+      single_fwd.loss += f.loss;
+      single_fwd.accuracy += f.accuracy;
     }
+    const double inv = 1.0 / static_cast<double>(n);
+    single.loss *= inv;
+    single.accuracy *= inv;
+    for (double& g : single.grad) g *= inv;
+    single_fwd.loss /= static_cast<double>(n);
+    single_fwd.accuracy /= static_cast<double>(n);
 
-    const BatchGrad lane_fwd = batch_loss(*fx.executor, fx.theta, fx.data,
-                                          indices, logit_scale,
-                                          BatchReplay::kLanes);
-    const BatchGrad scalar_fwd = batch_loss(*fx.executor, fx.theta, fx.data,
-                                            indices, logit_scale,
-                                            BatchReplay::kScalar);
-    EXPECT_NEAR(lane_fwd.loss, scalar_fwd.loss, kAgreementTol);
-    EXPECT_DOUBLE_EQ(lane_fwd.accuracy, scalar_fwd.accuracy);
+    EXPECT_EQ(lane.loss, single.loss) << "batch size " << n;
+    EXPECT_EQ(lane.accuracy, single.accuracy) << "batch size " << n;
+    ASSERT_EQ(lane.grad.size(), fx.theta.size());
+    EXPECT_EQ(lane.grad, single.grad) << "batch size " << n;
+
+    EXPECT_EQ(lane_fwd.loss, single_fwd.loss) << "batch size " << n;
+    EXPECT_EQ(lane_fwd.accuracy, single_fwd.accuracy) << "batch size " << n;
     EXPECT_NEAR(lane_fwd.loss, lane.loss, kAgreementTol)
         << "forward-only loss must equal the gradient pass loss";
   }
 }
 
 TEST(BatchedReplay, LaneAdjointMatchesLogicalReference) {
-  // Pin the whole chain, not just lane-vs-scalar: the lane gradient on a
+  // Pin the whole chain, not just block-vs-single: the lane gradient on a
   // ragged batch must agree with the uncompiled logical-circuit reference.
   const BatchedFixture fx;
   const auto indices = iota_indices(kLanes + 3);
-  const BatchGrad lane = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                         indices, 5.0, BatchReplay::kLanes);
+  const BatchGrad lane =
+      batch_loss_grad(*fx.executor, fx.theta, fx.data, indices, 5.0);
   const BatchGrad logical = batch_loss_grad(
       fx.model.circuit, fx.model.readout_qubits, fx.theta, fx.data, indices, 5.0);
   EXPECT_NEAR(lane.loss, logical.loss, kAgreementTol);
@@ -154,8 +174,7 @@ TEST(BatchedReplay, ReadoutSlotsStayPositional) {
   for (std::size_t i = 0; i < xs.size(); ++i) {
     xs[i] = {0.1 * static_cast<double>(i)};
   }
-  const auto lane = executor->run_z_batch(xs, theta, nullptr,
-                                          BatchReplay::kLanes);
+  const auto lane = executor->run_z_batch(xs, theta);
   ASSERT_EQ(lane.size(), xs.size());
   for (std::size_t i = 0; i < lane.size(); ++i) {
     ASSERT_EQ(lane[i].size(), 2u);
@@ -166,15 +185,16 @@ TEST(BatchedReplay, ReadoutSlotsStayPositional) {
 }
 
 TEST(SampledBatched, LaneBlocksDrawBitwiseIdenticalShotStreams) {
-  // Sample i of a batch draws from seed + i whichever engine replays it. A
-  // backend seeded seed + i therefore reproduces sample i's stream through
-  // the SCALAR single-sample path (run_logits draws from its own seed + 0),
+  // Sample i of a batch draws from seed + i whichever lane width replays
+  // it. A backend seeded seed + i therefore reproduces sample i's stream
+  // through the width-1 single-sample call (run_logits draws from its own
+  // seed + 0),
   // giving a bitwise reference for every lane of every block — including
-  // lane positions the in-process scalar tail can never cover.
+  // lane positions the in-process width-1 tail can never cover.
   const BatchedFixture fx;
   const std::uint64_t seed = 41;
   const int shots = 256;
-  const std::size_t n = 2 * kLanes + 3;  // two lane blocks + scalar tail
+  const std::size_t n = 2 * kLanes + 3;  // two lane blocks + width-1 tail
   const auto xs = first_rows(fx.data, n);
 
   const std::vector<ReadoutError> confusions[] = {
@@ -205,9 +225,7 @@ TEST(BatchedValidation, ShortRowsFailUpFrontAtEveryBatchEntryPoint) {
   ragged[3] = {0.5, 0.5};  // the compiled program reads 4 inputs
 
   EXPECT_THROW(fx.executor->run_z_batch(ragged, fx.theta), PreconditionError);
-  EXPECT_THROW(
-      fx.executor->run_z_batch(ragged, fx.theta, nullptr, BatchReplay::kScalar),
-      PreconditionError);
+  EXPECT_THROW(fx.executor->run_z(ragged[3], fx.theta), PreconditionError);
 
   const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 32, 7);
   EXPECT_THROW(sampled.run_logits_batch(ragged), PreconditionError);
@@ -260,19 +278,16 @@ TEST(BatchedValidation, NoisyBatchAndEvaluatorRejectShortRows) {
 TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
   const NoisyBatchedFixture fx;
   // Every batch size through two full lane blocks plus a tail, exact
-  // (shots = 0) expectations: the lane density replay must be bitwise
-  // identical to the per-sample path, and both inside the documented 1e-10
+  // (shots = 0) expectations: the batch must be bitwise identical to
+  // one-sample run_z calls (lane width 1), and inside the documented 1e-10
   // envelope of the uncompiled gate-by-gate reference.
   for (std::size_t n = 1; n <= 2 * kLanes + 1; ++n) {
     const auto xs = first_rows(fx.data, n);
-    const auto lane =
-        fx.noisy->run_z_batch(xs, 0, 99, nullptr, BatchReplay::kLanes);
-    const auto scalar =
-        fx.noisy->run_z_batch(xs, 0, 99, nullptr, BatchReplay::kScalar);
+    const auto lane = fx.noisy->run_z_batch(xs);
     ASSERT_EQ(lane.size(), n);
-    ASSERT_EQ(scalar.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(lane[i], scalar[i]) << "batch size " << n << " sample " << i;
+      EXPECT_EQ(lane[i], fx.noisy->run_z(xs[i]))
+          << "batch size " << n << " sample " << i;
       const auto reference = fx.noisy->run_z_reference(xs[i]);
       ASSERT_EQ(lane[i].size(), reference.size());
       for (std::size_t k = 0; k < reference.size(); ++k) {
@@ -284,17 +299,57 @@ TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
 }
 
 TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
-  // shots > 0: sample i draws from Rng(shot_seed + i) whichever engine
-  // replays it, and the lane diagonal feeds the SAME scalar readout/shot
-  // code — so sampled results are bitwise identical too, lane blocks and
-  // ragged tail alike.
+  // shots > 0: sample i draws from Rng(shot_seed + i) whichever lane width
+  // replays it, and the lane diagonal feeds the same readout/shot code — so
+  // sampled results equal one-sample run_z_shots calls bitwise, lane
+  // blocks and ragged tail alike.
   const NoisyBatchedFixture fx;
   const auto xs = first_rows(fx.data, kLanes + 3);
-  const auto lane =
-      fx.noisy->run_z_batch(xs, 128, 41, nullptr, BatchReplay::kLanes);
-  const auto scalar =
-      fx.noisy->run_z_batch(xs, 128, 41, nullptr, BatchReplay::kScalar);
-  EXPECT_EQ(lane, scalar);
+  const auto lane = fx.noisy->run_z_batch(xs, 128, 41);
+  ASSERT_EQ(lane.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    Rng rng(41 + i);
+    EXPECT_EQ(lane[i], fx.noisy->run_z_shots(xs[i], 128, rng))
+        << "sample " << i;
+  }
+}
+
+TEST(BatchedNoisy, WideCircuitRunsAtLaneWidthOneAndMatchesReference) {
+  // Nine qubits is above BatchedDensityMatrix<kBlockLanes>::kMaxQubits, so
+  // even a batch holding a full block replays every sample at lane width 1.
+  constexpr int kQubits = 9;
+  static_assert(kQubits > BatchedDensityMatrix<kBlockLanes>::kMaxQubits);
+  const CouplingMap line = CouplingMap::line(kQubits);
+  Calibration cal(kQubits, line.edges());
+  for (int q = 0; q < kQubits; ++q) {
+    cal.set_sx_error(q, 0.0004 + 0.0001 * q);
+    cal.set_readout(q, ReadoutError{0.01 + 0.002 * q, 0.02});
+    cal.set_t1_t2(q, 90.0 + 5.0 * q, 70.0 + 3.0 * q);
+  }
+  for (const auto& [a, b] : line.edges()) cal.set_cx_error(a, b, 0.012);
+
+  // A 2-qubit model keeps the 9-qubit replays short; the 7 idle device
+  // qubits still span the full 2^9 x 2^9 matrix.
+  const QnnModel model = build_paper_model(2, 2, 2, 1);
+  const std::vector<double> theta = init_params(model, 11);
+  TranspileOptions trivial;
+  trivial.noise_aware_layout = false;  // the exhaustive search stops at 8
+  const TranspiledModel transpiled =
+      transpile_model(model.circuit, model.readout_qubits, line, &cal, trivial);
+  const auto noisy = build_noisy_executor(model, transpiled, theta, cal, {});
+  ASSERT_EQ(noisy->circuit().num_qubits(), kQubits);
+
+  const Dataset data = make_mnist4(kLanes, 23);
+  const auto zs = noisy->run_z_batch(data.features);
+  ASSERT_EQ(zs.size(), data.size());
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    const auto reference = noisy->run_z_reference(data.features[i]);
+    ASSERT_EQ(zs[i].size(), reference.size());
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      EXPECT_NEAR(zs[i][k], reference[k], kAgreementTol)
+          << "sample " << i << " slot " << k;
+    }
+  }
 }
 
 TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
@@ -305,13 +360,12 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
   // test filter picks this suite up.
   const BatchedFixture fx;
   const auto xs = first_rows(fx.data, 2 * kLanes + 1);
-  const auto expected_z =
-      fx.executor->run_z_batch(xs, fx.theta, nullptr, BatchReplay::kLanes);
+  const auto expected_z = fx.executor->run_z_batch(xs, fx.theta);
   const SampledStatevectorBackend sampled(fx.executor, fx.theta, {}, 64, 9);
   const auto expected_logits = sampled.run_logits_batch(xs);
   const auto indices = iota_indices(xs.size());
-  const BatchGrad expected_grad = batch_loss_grad(
-      *fx.executor, fx.theta, fx.data, indices, 5.0, BatchReplay::kLanes);
+  const BatchGrad expected_grad =
+      batch_loss_grad(*fx.executor, fx.theta, fx.data, indices, 5.0);
 
   constexpr int kThreads = 4;
   std::array<bool, kThreads> ok{};
@@ -321,12 +375,10 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
     threads.emplace_back([&, t] {
       bool agree = true;
       for (int round = 0; round < 3; ++round) {
-        agree &= fx.executor->run_z_batch(xs, fx.theta, nullptr,
-                                          BatchReplay::kLanes) == expected_z;
+        agree &= fx.executor->run_z_batch(xs, fx.theta) == expected_z;
         agree &= sampled.run_logits_batch(xs) == expected_logits;
-        const BatchGrad grad = batch_loss_grad(*fx.executor, fx.theta, fx.data,
-                                               indices, 5.0,
-                                               BatchReplay::kLanes);
+        const BatchGrad grad =
+            batch_loss_grad(*fx.executor, fx.theta, fx.data, indices, 5.0);
         agree &= grad.grad == expected_grad.grad &&
                  grad.loss == expected_grad.loss;
       }

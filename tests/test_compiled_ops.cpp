@@ -1,19 +1,25 @@
 // Equivalence suite for the compiled noisy-execution engine: the fused
 // op-stream (sim/compiled_ops.hpp) must reproduce the legacy gate-by-gate
 // density-matrix walk to 1e-10 on random transpiled circuits, with noise on
-// and off, shots on and off — plus unit checks for the fused channel
-// kernels, the CX permutation fast path, and the executor cache.
+// and off, shots on and off — plus unit checks of the width-1 lane kernels
+// for the fused channels and the CX permutation against the Kraus / apply2
+// reference, and the executor cache.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "circuit/gate.hpp"
 #include "data/mnist_synth.hpp"
 #include "noise/calibration_history.hpp"
 #include "qnn/ansatz.hpp"
 #include "qnn/encoding.hpp"
 #include "qnn/eval_cache.hpp"
 #include "qnn/evaluator.hpp"
+#include "sim/batched_state.hpp"
+#include "sim/compiled_ops.hpp"
+#include "sim/density_matrix.hpp"
+#include "sim/statevector.hpp"
 #include "transpile/transpiler.hpp"
 
 #include "test_support.hpp"
@@ -110,12 +116,12 @@ TEST_F(CompiledOpsTest, FullDensityMatrixMatchesWithElisionDisabled) {
 
   const std::vector<double> x{0.4, 2.0};
   const DensityMatrix ref = executor.run_density(x);
-  DensityMatrix compiled(nq);
-  executor.program().run(compiled, x);
-  ASSERT_EQ(ref.data().size(), compiled.data().size());
+  BatchedDensityMatrix<1> lanes(nq);
+  executor.program().run_lanes(lanes, {x.data()});
+  const std::vector<cplx> compiled = lanes.lane_matrix(0);
+  ASSERT_EQ(ref.data().size(), compiled.size());
   for (std::size_t i = 0; i < ref.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(compiled.data()[i] - ref.data()[i]), 0.0,
-                kAgreementTol)
+    EXPECT_NEAR(std::abs(compiled[i] - ref.data()[i]), 0.0, kAgreementTol)
         << "rho entry " << i;
   }
 }
@@ -196,6 +202,37 @@ TEST_F(CompiledOpsTest, BatchMatchesSingleRuns) {
   }
 }
 
+/// Prepares the same random state on a width-1 lane matrix and on the
+/// gate-by-gate reference, gate matrix by gate matrix.
+void run_both(const Circuit& c, BatchedDensityMatrix<1>& lanes,
+              DensityMatrix& reference) {
+  reference.run(c);
+  for (const Gate& g : c.gates()) {
+    const CMat m = gate_matrix(g.kind, c.resolve_angle(g, {}, {}));
+    if (g.num_qubits() == 1) {
+      lanes.apply1(g.q0, as_array2(m));
+    } else {
+      lanes.apply2(g.q0, g.q1, as_array4(m));
+    }
+  }
+}
+
+/// Entry-by-entry agreement of a width-1 lane matrix with a reference.
+void expect_same_matrix(const BatchedDensityMatrix<1>& lanes,
+                        const DensityMatrix& reference) {
+  const std::vector<cplx> rho = lanes.lane_matrix(0);
+  ASSERT_EQ(rho.size(), reference.data().size());
+  for (std::size_t i = 0; i < rho.size(); ++i) {
+    EXPECT_NEAR(std::abs(rho[i] - reference.data()[i]), 0.0, test::kTightTol)
+        << "rho entry " << i;
+  }
+  double trace = 0.0;
+  for (std::size_t r = 0; r < lanes.dim(); ++r) {
+    trace += rho[r * lanes.dim() + r].real();
+  }
+  EXPECT_NEAR(trace, 1.0, test::kTightTol);
+}
+
 TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
   PulseNoise pn;
   pn.depolarizing_p = 0.03;
@@ -203,19 +240,16 @@ TEST(FusedChannels, PulseChannelMatchesSequentialApplication) {
 
   Rng rng(5);
   const Circuit c = test::random_circuit(rng, 3, 8);
-  DensityMatrix fused(3), seq(3);
-  fused.run(c);
-  seq.run(c);
+  BatchedDensityMatrix<1> fused(3);
+  DensityMatrix seq(3);
+  run_both(c, fused, seq);
 
   for (int q = 0; q < 3; ++q) {
     fused.apply_channel1(q, fuse_pulse_channel(pn));
     seq.apply_depolarizing1(q, pn.depolarizing_p);
     seq.apply_thermal1(q, pn.thermal.gamma, pn.thermal.lambda);
   }
-  for (std::size_t i = 0; i < fused.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(fused.data()[i] - seq.data()[i]), 0.0, test::kTightTol);
-  }
-  EXPECT_NEAR(fused.trace_real(), 1.0, test::kTightTol);
+  expect_same_matrix(fused, seq);
 }
 
 TEST(FusedChannels, CxChannelMatchesSequentialApplication) {
@@ -226,31 +260,26 @@ TEST(FusedChannels, CxChannelMatchesSequentialApplication) {
 
   Rng rng(9);
   const Circuit c = test::random_circuit(rng, 4, 10);
-  DensityMatrix fused(4), seq(4);
-  fused.run(c);
-  seq.run(c);
+  BatchedDensityMatrix<1> fused(4);
+  DensityMatrix seq(4);
+  run_both(c, fused, seq);
 
   fused.apply_channel2(1, 3, fuse_cx_channel(cn));
   seq.apply_depolarizing2(1, 3, cn.depolarizing_p);
   seq.apply_thermal1(1, cn.thermal_first.gamma, cn.thermal_first.lambda);
   seq.apply_thermal1(3, cn.thermal_second.gamma, cn.thermal_second.lambda);
-  for (std::size_t i = 0; i < fused.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(fused.data()[i] - seq.data()[i]), 0.0, test::kTightTol);
-  }
-  EXPECT_NEAR(fused.trace_real(), 1.0, test::kTightTol);
+  expect_same_matrix(fused, seq);
 }
 
 TEST(FusedChannels, CxPermutationMatchesApply2) {
   Rng rng(11);
   const Circuit c = test::random_circuit(rng, 4, 12);
-  DensityMatrix perm(4), mat(4);
-  perm.run(c);
-  mat.run(c);
+  BatchedDensityMatrix<1> perm(4);
+  DensityMatrix mat(4);
+  run_both(c, perm, mat);
   perm.apply_cx(2, 0);
   mat.apply_gate(Gate{GateKind::CX, 2, 0, {}, 0.0}, 0.0);
-  for (std::size_t i = 0; i < perm.data().size(); ++i) {
-    EXPECT_NEAR(std::abs(perm.data()[i] - mat.data()[i]), 0.0, test::kTightTol);
-  }
+  expect_same_matrix(perm, mat);
 }
 
 TEST(CompiledEvalCache, HitsOnRepeatedConfigurationMissesOnChange) {

@@ -73,6 +73,19 @@ std::vector<int> all_qubits(int nq) {
   return q;
 }
 
+/// The compiled adjoint of one sample at lane width 1, with fixed
+/// per-qubit observable weights, as a single-sample AdjointResult.
+AdjointResult w1_adjoint(const CompiledProgram& program,
+                         std::span<const double> theta,
+                         std::span<const double> x,
+                         const std::vector<double>& weights) {
+  LaneAdjointResult lanes = compiled_adjoint_gradient_lanes<1>(
+      program, theta, {x.data()},
+      [&](std::size_t, const std::vector<double>&) { return weights; });
+  return AdjointResult{std::move(lanes.z_expectations[0]),
+                       std::move(lanes.gradients[0])};
+}
+
 class CompiledPureTest : public test::SeededTest {};
 
 TEST(PhysOpTheta, AffineThetaResolution) {
@@ -174,7 +187,7 @@ TEST_F(CompiledPureTest, AdjointMatchesReferenceAdjoint) {
     const auto reference = adjoint_gradient(c, theta, x, weights);
     const auto executor = build_pure_executor(c, all_qubits(nq));
     const auto compiled =
-        compiled_adjoint_gradient(executor->program(), theta, x, weights);
+        w1_adjoint(executor->program(), theta, x, weights);
 
     ASSERT_EQ(compiled.z_expectations.size(), reference.z_expectations.size());
     for (int q = 0; q < nq; ++q) {
@@ -204,7 +217,7 @@ TEST_F(CompiledPureTest, AdjointMatchesParameterShift) {
     const auto shift = parameter_shift_gradient(c, theta, x, weights);
     const auto executor = build_pure_executor(c, all_qubits(nq));
     const auto compiled =
-        compiled_adjoint_gradient(executor->program(), theta, x, weights);
+        w1_adjoint(executor->program(), theta, x, weights);
 
     ASSERT_EQ(compiled.gradients.size(), shift.size());
     for (std::size_t p = 0; p < shift.size(); ++p) {
@@ -226,7 +239,7 @@ TEST_F(CompiledPureTest, SharedParameterContributionsAccumulate) {
   const auto reference = adjoint_gradient(c, theta, {}, weights);
   const auto executor = build_pure_executor(c, all_qubits(2));
   const auto compiled =
-      compiled_adjoint_gradient(executor->program(), theta, {}, weights);
+      w1_adjoint(executor->program(), theta, {}, weights);
 
   ASSERT_EQ(compiled.gradients.size(), 2u);
   EXPECT_NEAR(compiled.gradients[0], reference.gradients[0], kAgreementTol);
@@ -249,7 +262,7 @@ TEST_F(CompiledPureTest, TrailingTrainableRzIsElidedWithExactZeroGradient) {
 
   const auto reference = adjoint_gradient(c, theta, {}, weights);
   const auto compiled =
-      compiled_adjoint_gradient(executor->program(), theta, {}, weights);
+      w1_adjoint(executor->program(), theta, {}, weights);
   ASSERT_EQ(compiled.gradients.size(), 2u);
   EXPECT_NEAR(reference.gradients[1], 0.0, 1e-15);
   EXPECT_DOUBLE_EQ(compiled.gradients[1], 0.0);

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -280,6 +283,39 @@ TEST(ThreadPool, ParallelForStressManyBatches) {
     const long expected =
         static_cast<long>(count) * static_cast<long>(count - 1) / 2;
     EXPECT_EQ(sum.load(), expected) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, BackToBackCallsFromManyCallers) {
+  // Every parallel_for keeps its completion state on the caller's stack, so
+  // a caller that returns while a worker still signals it reuses that stack
+  // for the next call. Many callers issuing short back-to-back batches on
+  // one pool make that window as wide as possible; under TSan any such
+  // use-after-scope is reported, and natively it aborted inside
+  // pthread_mutex_lock.
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 10000;
+  std::array<long, kCallers> sums{};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &sums, c] {
+      long total = 0;
+      for (int call = 0; call < kCalls; ++call) {
+        std::atomic<long> sum{0};
+        pool.parallel_for(4, [&](std::size_t i) {
+          sum.fetch_add(static_cast<long>(i) + 1);
+        });
+        total += sum.load();
+      }
+      sums[static_cast<std::size_t>(c)] = total;
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(sums[static_cast<std::size_t>(c)], 10L * kCalls)
+        << "caller " << c;
   }
 }
 

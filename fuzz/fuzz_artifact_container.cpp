@@ -2,7 +2,7 @@
 // bytes a service cold-starts from. deserialize_artifacts promises to
 // reject corrupt input of any kind with a Status, never by throwing,
 // aborting, reading out of bounds, or allocating unboundedly more than
-// the input size (seeded from tests/golden/repo_v1.qcd so the fuzzer
+// the input size (seeded from tests/golden/repo_v2.qcd so the fuzzer
 // starts from an accepting parse and mutates outward).
 //
 // For inputs the parser accepts, the harness additionally checks the

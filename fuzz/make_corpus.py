@@ -10,7 +10,7 @@ Seeds are deliberately minimal-but-accepting: each one parses successfully
 (or exercises one named reject path, e.g. the *_repro files pinning fixed
 decoder defects), so mutation starts deep inside the decoders instead of
 dying at the magic check. The artifact corpus additionally seeds from
-tests/golden/repo_v1.qcd, the richest accepting input in the tree.
+tests/golden/repo_v2.qcd, the richest accepting input in the tree.
 """
 
 import pathlib
@@ -110,18 +110,18 @@ def artifact_section(section_id, payload):
 def artifact_corpus():
     out = CORPUS / "artifact_container"
     out.mkdir(parents=True, exist_ok=True)
-    golden = ROOT / "tests" / "golden" / "repo_v1.qcd"
-    shutil.copyfile(golden, out / "repo_v1.qcd")
-    print(f"{(out / 'repo_v1.qcd').relative_to(ROOT)}  copied from tests/golden")
+    golden = ROOT / "tests" / "golden" / "repo_v2.qcd"
+    shutil.copyfile(golden, out / "repo_v2.qcd")
+    print(f"{(out / 'repo_v2.qcd').relative_to(ROOT)}  copied from tests/golden")
 
-    magic = b"QCAD" + u32(1)
+    magic = b"QCAD" + u32(2)
     # Minimal accepting container: empty repository, one calibration day,
     # default-shaped config (the config payload mirrors encode_config field
     # order; values are the struct defaults that pass semantic validation).
     repo = u64(0) + f64_vector([1.0, 1.0]) + f64(0.5)
     history = u64(1) + calibration()
-    config = (f64(0.05) + f64(0.3) + u8(1) + u8(1) + i32(0) + u64(12345) +
-              u8(1) + u8(0) + i32(0) + u8(0) + u8(1) +
+    config = (f64(0.05) + f64(0.3) + u8(1) + u8(1) +
+              u8(1) + u8(0) + i32(0) + u8(0) +
               i32(3) + i32(8) + i32(16) + f64(0.05) + f64(1.0) + f64(4.0) +
               u8(0) + f64(0.5) + u8(0) + f64_vector([-0.5, 0.0, 0.5]) +
               u64(7) + i32(4) + f64(0.02) + f64(0.1) + u8(1) + u64(0) +

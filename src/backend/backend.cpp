@@ -18,28 +18,24 @@ const BackendCapabilities& backend_kind_capabilities(BackendKind kind) {
                                            /*finite_shots=*/false,
                                            /*readout_error=*/true,
                                            /*gradients=*/false,
-                                           /*deterministic=*/true,
-                                           /*batched_replay=*/true};
+                                           /*deterministic=*/true};
   static const BackendCapabilities pure{/*models_noise=*/false,
                                         /*finite_shots=*/false,
                                         /*readout_error=*/false,
                                         /*gradients=*/true,
-                                        /*deterministic=*/true,
-                                        /*batched_replay=*/true};
+                                        /*deterministic=*/true};
   static const BackendCapabilities sampled{/*models_noise=*/false,
                                            /*finite_shots=*/true,
                                            /*readout_error=*/true,
                                            /*gradients=*/false,
-                                           /*deterministic=*/true,
-                                           /*batched_replay=*/true};
+                                           /*deterministic=*/true};
   // Kinds beyond the built-ins (custom registry registrations) claim
   // nothing statically — consult the built instance's capabilities().
   static const BackendCapabilities unknown{/*models_noise=*/false,
                                            /*finite_shots=*/false,
                                            /*readout_error=*/false,
                                            /*gradients=*/false,
-                                           /*deterministic=*/false,
-                                           /*batched_replay=*/false};
+                                           /*deterministic=*/false};
   switch (kind) {
     case BackendKind::kDensityNoisy: return density;
     case BackendKind::kPureStatevector: return pure;
@@ -52,12 +48,6 @@ Status BackendConfig::validate() const {
   if (shots < 0) {
     return Status::invalid_argument("backend shots must be non-negative");
   }
-  if (kind == BackendKind::kDensityNoisy && shots > 0) {
-    return Status::invalid_argument(
-        "the exact density backend computes expectations; finite-shot "
-        "readout is the kSampled backend's job (or the legacy "
-        "NoisyEvalOptions::shots knob)");
-  }
   if (kind == BackendKind::kPureStatevector && shots > 0) {
     return Status::invalid_argument(
         "the pure statevector backend computes expectations; use kSampled "
@@ -66,10 +56,6 @@ Status BackendConfig::validate() const {
   if (kind == BackendKind::kSampled && shots == 0) {
     return Status::invalid_argument(
         "kSampled draws finite-shot estimates and needs shots > 0");
-  }
-  if (deterministic && !seed.has_value()) {
-    return Status::invalid_argument(
-        "deterministic sampling requested without a seed");
   }
   return Status();
 }

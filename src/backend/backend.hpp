@@ -33,8 +33,9 @@ class ThreadPool;
 /// The execution regimes a BackendConfig can select.
 enum class BackendKind : std::uint8_t {
   /// Exact density-matrix evolution with the calibration's noise channels
-  /// folded in. Logits are expectations; BackendConfig::shots must be 0
-  /// (finite-shot readout is the kSampled backend's job).
+  /// folded in. Logits are expectations when BackendConfig::shots is 0, and
+  /// finite-shot estimates drawn from the noisy, confusion-adjusted
+  /// distribution when it is > 0 (gate noise plus shot noise).
   kDensityNoisy = 0,
   /// Noise-free compiled statevector expectations. The training-path engine;
   /// the only gradient-capable kind.
@@ -63,11 +64,6 @@ struct BackendCapabilities {
   /// Identical inputs produce bitwise-identical logits (exact expectations,
   /// or shot sampling under a fixed seed).
   bool deterministic = true;
-  /// run_logits_batch replays full sample blocks through the SoA lane
-  /// engine (sim/batched_state.hpp) instead of looping run_logits. Only the
-  /// statevector-replay kinds can: the density engine evolves one matrix
-  /// per sample by construction.
-  bool batched_replay = false;
 };
 
 /// Static capabilities of a built-in kind (what any backend of that kind
@@ -97,21 +93,17 @@ struct BackendDiagnostics {
 struct BackendConfig {
   BackendKind kind = BackendKind::kDensityNoisy;
 
-  /// Shots drawn per sample. Required > 0 for kSampled; must stay 0 for the
-  /// expectation kinds (validate() rejects the mismatch — the legacy
-  /// NoisyEvalOptions::shots knob still drives density-path shot readout).
+  /// Shots drawn per sample: the one shot budget of every regime. Must be
+  /// positive for kSampled; 0 (exact expectations) or positive (shot-sampled
+  /// readout) for kDensityNoisy; must stay 0 for kPureStatevector.
   int shots = 0;
 
-  /// Base seed of the kSampled backend's per-sample shot streams (sample i
-  /// draws from seed + i, matching NoisyExecutor::run_z_batch). Clearing it
-  /// while `deterministic` is set is a validation error. The density kind's
-  /// legacy shot path is seeded by NoisyEvalOptions::shot_seed instead —
-  /// this field does not apply there (just as `shots` is rejected there).
+  /// Base seed of the per-sample shot streams of both shot-drawing kinds
+  /// (sample i draws from seed + i, matching NoisyExecutor::run_z_batch).
+  /// std::nullopt asks for an unseeded stream: the backend draws its seed
+  /// from the OS entropy pool and reports capabilities().deterministic =
+  /// false. Unused when shots == 0.
   std::optional<std::uint64_t> seed = 99;
-
-  /// Require a seeded, reproducible sampling stream. Off, a kSampled
-  /// backend without a seed draws one from the OS entropy pool.
-  bool deterministic = true;
 
   BackendConfig& with_kind(BackendKind value) {
     kind = value;
@@ -125,14 +117,10 @@ struct BackendConfig {
     seed = value;
     return *this;
   }
-  BackendConfig& with_deterministic(bool value) {
-    deterministic = value;
-    return *this;
-  }
 
   /// OK when the knob combination is consistent; the first violation
-  /// otherwise (shots on an expectation kind, kSampled without shots,
-  /// determinism requested without a seed).
+  /// otherwise (negative shots, shots on the pure statevector kind, kSampled
+  /// without shots).
   Status validate() const;
 };
 

@@ -14,17 +14,21 @@ namespace {
 
 /// Adapter fronting the exact density-matrix engine (NoisyExecutor). Keeps
 /// the concrete fast paths: run_logits_batch is the fused run_z_batch sweep
-/// with per-thread scratch reuse.
+/// with per-thread scratch reuse. With shots > 0 the logits are shot
+/// estimates drawn through NoisyExecutor's shot path, sample i from
+/// seed + i.
 class DensityMatrixBackend final : public ExecutionBackend {
  public:
   DensityMatrixBackend(std::shared_ptr<const NoisyExecutor> executor,
-                       int shots, std::uint64_t shot_seed, bool readout_active)
+                       int shots, std::uint64_t seed, bool deterministic,
+                       bool readout_active)
       : executor_(std::move(executor)),
         shots_(shots),
-        shot_seed_(shot_seed),
+        seed_(seed),
         capabilities_(backend_kind_capabilities(BackendKind::kDensityNoisy)) {
     capabilities_.finite_shots = shots_ > 0;
     capabilities_.readout_error = readout_active;
+    capabilities_.deterministic = deterministic;
   }
 
   BackendKind kind() const override { return BackendKind::kDensityNoisy; }
@@ -44,7 +48,7 @@ class DensityMatrixBackend final : public ExecutionBackend {
 
   std::vector<double> run_logits(std::span<const double> x) const override {
     if (shots_ > 0) {
-      Rng rng(shot_seed_);
+      Rng rng(seed_);
       return executor_->run_z_shots(x, shots_, rng);
     }
     return executor_->run_z(x);
@@ -55,13 +59,13 @@ class DensityMatrixBackend final : public ExecutionBackend {
       ThreadPool* pool = nullptr) const override {
     // Full lane blocks at width 8, ragged tail at width 1 — see
     // NoisyExecutor::run_z_batch.
-    return executor_->run_z_batch(xs, shots_, shot_seed_, pool);
+    return executor_->run_z_batch(xs, shots_, seed_, pool);
   }
 
  private:
   std::shared_ptr<const NoisyExecutor> executor_;
   int shots_;
-  std::uint64_t shot_seed_;
+  std::uint64_t seed_;
   BackendCapabilities capabilities_;
 };
 
@@ -122,9 +126,22 @@ std::shared_ptr<const PureExecutor> resolve_pure_executor(
                              context.model->readout_qubits);
 }
 
+/// Base seed of a backend's shot streams: the configured seed, or one drawn
+/// from the OS entropy pool when the config asks for an unseeded stream
+/// (std::nullopt) and draws shots. Exact expectations draw no entropy.
+std::uint64_t resolve_seed(const BackendConfig& config) {
+  if (config.seed.has_value()) return *config.seed;
+  return config.shots > 0 ? std::random_device{}() : 0;
+}
+
+/// Whether a backend built from `config` reproduces bitwise across builds:
+/// exact expectations always do, shot sampling only under a caller seed.
+bool is_deterministic(const BackendConfig& config) {
+  return config.shots == 0 || config.seed.has_value();
+}
+
 StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
     const BackendConfig& config, const BackendContext& context) {
-  (void)config;  // validated by the registry; shots == 0 for this kind
   const char* kind = backend_kind_name(BackendKind::kDensityNoisy);
   if (context.model == nullptr) return missing("the model", kind);
   if (context.transpiled == nullptr) return missing("the routed model", kind);
@@ -143,8 +160,8 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_density(
                               executor->noise().num_qubits() > 0;
   return std::shared_ptr<const ExecutionBackend>(
       std::make_shared<const DensityMatrixBackend>(
-          std::move(executor), context.density_shots,
-          context.density_shot_seed, readout_active));
+          std::move(executor), config.shots, resolve_seed(config),
+          is_deterministic(config), readout_active));
 }
 
 StatusOr<std::shared_ptr<const ExecutionBackend>> make_pure(
@@ -171,14 +188,12 @@ StatusOr<std::shared_ptr<const ExecutionBackend>> make_sampled(
     if (!errors.ok()) return errors.status();
     slot_readout = *std::move(errors);
   }
-  const std::uint64_t seed =
-      config.seed.has_value() ? *config.seed : std::random_device{}();
   return std::shared_ptr<const ExecutionBackend>(
       std::make_shared<const SampledStatevectorBackend>(
           resolve_pure_executor(context),
           std::vector<double>(context.theta.begin(), context.theta.end()),
-          std::move(slot_readout), config.shots, seed,
-          /*deterministic=*/config.seed.has_value()));
+          std::move(slot_readout), config.shots, resolve_seed(config),
+          is_deterministic(config)));
 }
 
 }  // namespace
@@ -227,20 +242,6 @@ void BackendRegistry::register_factory(BackendKind kind, Factory factory) {
 StatusOr<std::shared_ptr<const ExecutionBackend>> BackendRegistry::make(
     const BackendConfig& config, const BackendContext& context) const {
   if (Status status = config.validate(); !status.ok()) return status;
-  if (context.density_shots < 0) {
-    return Status::invalid_argument("density shots must be non-negative");
-  }
-  // Chokepoint consistency check: the legacy density shot knob
-  // (NoisyEvalOptions::shots) only means something to the density engine.
-  // Rejecting it here — rather than in each consumer — guarantees no
-  // backend path can silently drop a caller's shot request.
-  if (context.density_shots > 0 &&
-      config.kind != BackendKind::kDensityNoisy) {
-    return Status::invalid_argument(
-        "the legacy density shot knob (NoisyEvalOptions::shots) drives the "
-        "density engine's shot readout; a non-density backend takes its "
-        "shot budget from BackendConfig::shots");
-  }
   Factory factory;
   {
     std::lock_guard<std::mutex> lock(mutex_);

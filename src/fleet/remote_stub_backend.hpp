@@ -107,8 +107,8 @@ class RemoteStubBackend final : public ExecutionBackend {
 /// Installs a remote-stub factory under `kind` (default
 /// kRemoteStubBackendKind) on `registry`. The factory builds the inner
 /// backend through the SAME registry with the config's kind remapped to
-/// options.inner_kind — every other config field (shots, seed,
-/// deterministic) passes through — then wraps it. After registration any
+/// options.inner_kind — every other config field (shots, seed) passes
+/// through — then wraps it. After registration any
 /// config-driven consumer (evaluator, harness, serving, fleet) selects the
 /// stub with `BackendConfig{.kind = kind, ...}`.
 Status register_remote_stub_backend(BackendRegistry& registry,

@@ -177,13 +177,10 @@ void encode_config(Serializer& out, const ServiceConfig& config) {
   out.write_f64(config.eval.noise.durations.cx_us);
   out.write_bool(config.eval.noise.include_thermal_relaxation);
   out.write_bool(config.eval.noise.include_readout_error);
-  out.write_i32(config.eval.shots);
-  out.write_u64(config.eval.shot_seed);
   out.write_bool(config.eval.use_cache);
   out.write_u8(static_cast<std::uint8_t>(config.eval.backend.kind));
   out.write_i32(config.eval.backend.shots);
   out.write_optional_u64(config.eval.backend.seed);
-  out.write_bool(config.eval.backend.deterministic);
   // Repository-decision knobs.
   const AdmmOptions& admm = config.manager.admm;
   out.write_i32(admm.iterations);
@@ -238,16 +235,12 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
   if (Status s = in.read_bool(config.eval.noise.include_readout_error);
       !s.ok())
     return s;
-  if (Status s = in.read_i32(config.eval.shots); !s.ok()) return s;
-  if (Status s = in.read_u64(config.eval.shot_seed); !s.ok()) return s;
   if (Status s = in.read_bool(config.eval.use_cache); !s.ok()) return s;
   std::uint8_t raw = 0;
   if (Status s = read_enum_u8(in, 2, "BackendKind", raw); !s.ok()) return s;
   config.eval.backend.kind = static_cast<BackendKind>(raw);
   if (Status s = in.read_i32(config.eval.backend.shots); !s.ok()) return s;
   if (Status s = in.read_optional_u64(config.eval.backend.seed); !s.ok())
-    return s;
-  if (Status s = in.read_bool(config.eval.backend.deterministic); !s.ok())
     return s;
 
   AdmmOptions& admm = config.manager.admm;
@@ -299,6 +292,11 @@ Status decode_config(Deserializer& in, ServiceConfig& out) {
   if (Status s = in.read_u64(count); !s.ok()) return s;
   config.result_cache_capacity = static_cast<std::size_t>(count);
   if (Status s = in.read_f64(config.result_cache_quantum); !s.ok()) return s;
+  // In-range fields can still combine into a config the service refuses
+  // (kSampled without shots, zero shards, ...): that is corrupt data too.
+  if (Status s = config.validate(); !s.ok()) {
+    return Status::data_loss("invalid service config: " + s.message());
+  }
   out = std::move(config);
   return Status();
 }

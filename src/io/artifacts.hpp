@@ -23,7 +23,7 @@ struct Environment;
 /// File layout (all integers little-endian; see io/serializer.hpp):
 ///
 ///     magic   "QCAD"                      4 bytes
-///     version u32                         format version (currently 1)
+///     version u32                         format version (currently 2)
 ///     count   u32                         number of sections
 ///     count x sections:
 ///       id      u32                       section id (kSection* below)
@@ -31,7 +31,7 @@ struct Environment;
 ///       crc     u32                       CRC-32 of the payload bytes
 ///       payload length bytes
 ///
-/// Version-1 files carry exactly one section of each id, in ascending id
+/// Version-2 files carry exactly one section of each id, in ascending id
 /// order. Readers reject bad magic, unknown versions, unknown/duplicate/
 /// missing sections, truncation anywhere, trailing bytes, CRC mismatches,
 /// and semantically invalid payload values — always with a Status
@@ -40,16 +40,16 @@ struct Environment;
 /// temporaries and returned by value only on full success).
 ///
 /// Version policy: any change to the encoded byte layout bumps
-/// kFormatVersion — readers do not attempt cross-version migration (a
-/// version-skew file is rejected with kFailedPrecondition), and a
+/// kArtifactFormatVersion — readers do not attempt cross-version migration
+/// (a version-skew file is rejected with kFailedPrecondition), and a
 /// byte-stability test against the checked-in golden artifact
-/// (tests/golden/repo_v1.qcd) fails CI when the layout drifts without a
+/// (tests/golden/repo_v2.qcd) fails CI when the layout drifts without a
 /// bump.
 
 inline constexpr std::uint8_t kArtifactMagic[4] = {'Q', 'C', 'A', 'D'};
-inline constexpr std::uint32_t kArtifactFormatVersion = 1;
+inline constexpr std::uint32_t kArtifactFormatVersion = 2;
 
-/// Section ids of the version-1 container.
+/// Section ids of the container.
 inline constexpr std::uint32_t kSectionRepository = 1;
 inline constexpr std::uint32_t kSectionCalibrationHistory = 2;
 inline constexpr std::uint32_t kSectionServiceConfig = 3;

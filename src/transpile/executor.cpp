@@ -163,7 +163,7 @@ std::vector<double> NoisyExecutor::run_z_shots(std::span<const double> x,
 
 std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
     std::span<const std::vector<double>> xs, int shots,
-    std::uint64_t shot_seed, ThreadPool* pool) const {
+    std::uint64_t seed, ThreadPool* pool) const {
   // Validate the whole batch at the API boundary: a ragged row must fail
   // here, on the calling thread, not deep inside a worker's replay.
   check_rows(xs, program_);
@@ -175,12 +175,12 @@ std::vector<std::vector<double>> NoisyExecutor::run_z_batch(
       [&](auto width, std::size_t first) {
         constexpr std::size_t W = decltype(width)::value;
         const BatchedDensityMatrix<W>& bdm = replay(lane_rows<W>(xs, first));
-        // Sample i draws from Rng(shot_seed + i), its GLOBAL index, so the
+        // Sample i draws from Rng(seed + i), its GLOBAL index, so the
         // draws do not depend on the lane width that replayed it.
         for (std::size_t l = 0; l < W; ++l) {
           const std::size_t i = first + l;
           if (shots > 0) {
-            Rng rng(shot_seed + i);
+            Rng rng(seed + i);
             zs[i] = finish_lane(bdm, l, shots, &rng);
           } else {
             zs[i] = finish_lane(bdm, l, 0, nullptr);

@@ -56,9 +56,9 @@ class NoisyExecutor {
   /// Batched run_z over many samples, spread over `pool` (nullptr = the
   /// process-global pool) with per-thread scratch reuse. shots <= 0 gives
   /// exact expectations; otherwise sample i draws `shots` shots from an Rng
-  /// seeded with shot_seed + i (matching noisy_evaluate). Every row is
-  /// validated against the program's input arity up front, on the calling
-  /// thread — a ragged batch fails here, not inside a worker.
+  /// seeded with seed + i (the density backend passes BackendConfig::seed).
+  /// Every row is validated against the program's input arity up front, on
+  /// the calling thread — a ragged batch fails here, not inside a worker.
   ///
   /// Full blocks of kBlockLanes samples replay at lane width kBlockLanes
   /// (one walk of the op stream per block) and the ragged tail at width 1,
@@ -69,7 +69,7 @@ class NoisyExecutor {
   /// on its position in the batch.
   std::vector<std::vector<double>> run_z_batch(
       std::span<const std::vector<double>> xs, int shots = 0,
-      std::uint64_t shot_seed = 99, ThreadPool* pool = nullptr) const;
+      std::uint64_t seed = 99, ThreadPool* pool = nullptr) const;
 
   /// Final density matrix (before readout error) via the legacy gate-by-gate
   /// walk. Reference path for the compiled engine's equivalence tests.

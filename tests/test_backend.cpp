@@ -71,20 +71,22 @@ TEST(BackendConfig, ValidatesKnobCombinations) {
                   .with_shots(1024)
                   .validate()
                   .ok());
-  // Unseeded sampling is allowed only when determinism is explicitly waived.
+  // An unset seed asks for an unseeded stream; it is not an error.
   EXPECT_TRUE(BackendConfig()
                   .with_kind(BackendKind::kSampled)
                   .with_shots(64)
-                  .with_deterministic(false)
                   .with_seed(std::nullopt)
                   .validate()
                   .ok());
+  // Shots on the density kind select its shot-sampled readout.
+  EXPECT_TRUE(BackendConfig().with_shots(100).validate().ok());
+  EXPECT_TRUE(
+      BackendConfig().with_shots(100).with_seed(std::nullopt).validate().ok());
 
   EXPECT_EQ(BackendConfig().with_shots(-1).validate().code(),
             StatusCode::kInvalidArgument);
-  // Shots on the expectation kinds are inconsistent by construction.
-  EXPECT_EQ(BackendConfig().with_shots(100).validate().code(),
-            StatusCode::kInvalidArgument);
+  // Shots on the noise-free expectation kind are inconsistent by
+  // construction.
   EXPECT_EQ(BackendConfig()
                 .with_kind(BackendKind::kPureStatevector)
                 .with_shots(100)
@@ -93,14 +95,6 @@ TEST(BackendConfig, ValidatesKnobCombinations) {
             StatusCode::kInvalidArgument);
   // A sampling backend without a shot budget cannot produce logits.
   EXPECT_EQ(BackendConfig().with_kind(BackendKind::kSampled).validate().code(),
-            StatusCode::kInvalidArgument);
-  // Determinism requested but no seed to derive the stream from.
-  EXPECT_EQ(BackendConfig()
-                .with_kind(BackendKind::kSampled)
-                .with_shots(64)
-                .with_seed(std::nullopt)
-                .validate()
-                .code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -161,14 +155,15 @@ TEST(BackendRegistry, DensityDispatchMatchesDirectExecutor) {
   EXPECT_EQ(diag.num_qubits, direct->circuit().num_qubits());
 }
 
-TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
+TEST(BackendRegistry, DensityShotsMatchExecutorShotPath) {
   const BackendFixture fx;
-  BackendContext context = fx.context();
-  context.density_shots = 64;
-  context.density_shot_seed = 7;
+  const BackendConfig config =
+      BackendConfig().with_shots(64).with_seed(std::uint64_t{7});
   const std::shared_ptr<const ExecutionBackend> backend =
-      must_make(BackendConfig{}, context);
+      must_make(config, fx.context());
   EXPECT_TRUE(backend->capabilities().finite_shots);
+  EXPECT_TRUE(backend->capabilities().deterministic);
+  EXPECT_EQ(backend->diagnostics().shots, 64);
 
   const std::shared_ptr<const NoisyExecutor> direct = build_noisy_executor(
       fx.model, fx.transpiled, fx.theta, fx.history.day(0), {});
@@ -178,6 +173,18 @@ TEST(BackendRegistry, DensityLegacyShotsMatchExecutorShotPath) {
   for (std::size_t i = 0; i < via_registry.size(); ++i) {
     EXPECT_EQ(via_registry[i], via_executor[i]) << "sample " << i;
   }
+  // Single-sample replay equals slot 0 of the batch (seed + 0 convention).
+  EXPECT_EQ(backend->run_logits(fx.data.features[0]), via_executor[0]);
+
+  // An unset seed draws from entropy: the instance can no longer promise
+  // bitwise reproduction across builds. Exact expectations always can.
+  EXPECT_FALSE(must_make(BackendConfig(config).with_seed(std::nullopt),
+                         fx.context())
+                   ->capabilities()
+                   .deterministic);
+  EXPECT_TRUE(must_make(BackendConfig().with_seed(std::nullopt), fx.context())
+                  ->capabilities()
+                  .deterministic);
 }
 
 TEST(BackendRegistry, PureDispatchMatchesDirectExecutor) {
@@ -275,18 +282,6 @@ TEST(BackendRegistry, CustomFactoryOverrides) {
       registry.make(BackendConfig().with_kind(custom), fx.context()).ok());
 }
 
-TEST(BackendRegistry, RejectsLegacyDensityShotsOnNonDensityKinds) {
-  // The chokepoint guard: no backend path may silently drop a caller's
-  // legacy shot request.
-  const BackendFixture fx;
-  BackendContext context = fx.context();
-  context.density_shots = 32;
-  const auto backend = make_backend(
-      BackendConfig().with_kind(BackendKind::kPureStatevector), context);
-  ASSERT_FALSE(backend.ok());
-  EXPECT_EQ(backend.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(BackendRegistry, SampledReportsUncoveredReadoutAsStatus) {
   // A calibration narrower than a routed readout qubit must come back as a
   // Status through the registry's no-throw path, never as an exception.
@@ -331,10 +326,8 @@ TEST(SampledBackend, DeterministicUnderFixedSeed) {
   // Caller-seeded instances advertise determinism; an entropy-seeded one
   // narrows the capability (it cannot reproduce across builds).
   EXPECT_TRUE(a->capabilities().deterministic);
-  const auto unseeded = must_make(BackendConfig(config)
-                                      .with_deterministic(false)
-                                      .with_seed(std::nullopt),
-                                  fx.context());
+  const auto unseeded =
+      must_make(BackendConfig(config).with_seed(std::nullopt), fx.context());
   EXPECT_FALSE(unseeded->capabilities().deterministic);
 }
 
@@ -444,14 +437,6 @@ TEST(BackendThreading, EvaluatorDispatchesConfiguredBackend) {
   EXPECT_GE(a.accuracy, 0.0);
   EXPECT_LE(a.accuracy, 1.0);
 
-  // Legacy density shot knob + non-density backend is rejected, not mixed.
-  NoisyEvalOptions conflicting = sampled_options;
-  conflicting.shots = 32;
-  const auto status = noisy_evaluate_or(fx.model, fx.transpiled, fx.theta,
-                                        fx.data, fx.history.day(0), conflicting);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.status().code(), StatusCode::kInvalidArgument);
-
   // An invalid backend config surfaces as a Status, not an abort.
   NoisyEvalOptions invalid;
   invalid.backend.kind = BackendKind::kSampled;  // shots == 0
@@ -501,15 +486,6 @@ TEST(BackendThreading, ServiceConfigValidatesBackendCombinations) {
   // Backend config errors propagate through ServiceConfig::validate.
   EXPECT_EQ(ServiceConfig()
                 .with_backend(BackendConfig().with_kind(BackendKind::kSampled))
-                .validate()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Legacy density shots with a non-density backend is inconsistent.
-  EXPECT_EQ(ServiceConfig()
-                .with_backend(BackendConfig()
-                                  .with_kind(BackendKind::kSampled)
-                                  .with_shots(128))
-                .with_shots(64)
                 .validate()
                 .code(),
             StatusCode::kInvalidArgument);

@@ -299,7 +299,7 @@ TEST(BatchedNoisy, LaneReplayBitwiseMatchesScalarAcrossRaggedSizes) {
 }
 
 TEST(BatchedNoisy, LaneShotSamplingBitwiseMatchesScalar) {
-  // shots > 0: sample i draws from Rng(shot_seed + i) whichever lane width
+  // shots > 0: sample i draws from Rng(seed + i) whichever lane width
   // replays it, and the lane diagonal feeds the same readout/shot code — so
   // sampled results equal one-sample run_z_shots calls bitwise, lane
   // blocks and ragged tail alike.
@@ -389,14 +389,6 @@ TEST(BatchedThreadPool, ConcurrentBatchesAgreeWithSerialReference) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[static_cast<std::size_t>(t)]) << "caller thread " << t;
   }
-}
-
-TEST(BatchedCapabilities, LaneEnginesAdvertiseBatchedReplay) {
-  EXPECT_TRUE(
-      backend_kind_capabilities(BackendKind::kPureStatevector).batched_replay);
-  EXPECT_TRUE(backend_kind_capabilities(BackendKind::kSampled).batched_replay);
-  EXPECT_TRUE(
-      backend_kind_capabilities(BackendKind::kDensityNoisy).batched_replay);
 }
 
 }  // namespace

@@ -262,51 +262,60 @@ TEST(RemoteStub, LogitsBitwiseEqualInnerBackend) {
   const StubWorkload w = make_stub_workload();
   const BackendContext context = stub_context(w);
 
-  BackendRegistry registry;  // fresh built-ins, test-local stub kind
-  RemoteStubOptions options;
-  options.max_shots_per_job = 7;  // 20 shots -> 3 jobs per sample
-  options.fault_rate = 0.3;       // faults must never perturb results
-  ASSERT_TRUE(register_remote_stub_backend(registry, options).ok());
+  // Both shot-drawing kinds sit behind the stub: statevector sampling and
+  // the shot-sampled density engine (BackendConfig::shots on its own kind).
+  for (const BackendKind inner_kind :
+       {BackendKind::kSampled, BackendKind::kDensityNoisy}) {
+    SCOPED_TRACE(backend_kind_name(inner_kind));
+    BackendRegistry registry;  // fresh built-ins, test-local stub kind
+    RemoteStubOptions options;
+    options.inner_kind = inner_kind;
+    options.max_shots_per_job = 7;  // 20 shots -> 3 jobs per sample
+    options.fault_rate = 0.3;       // faults must never perturb results
+    ASSERT_TRUE(register_remote_stub_backend(registry, options).ok());
 
-  BackendConfig stub_config;
-  stub_config.kind = kRemoteStubBackendKind;
-  stub_config.shots = 20;
-  stub_config.seed = 11;
-  BackendConfig inner_config = stub_config;
-  inner_config.kind = BackendKind::kSampled;
+    BackendConfig stub_config;
+    stub_config.kind = kRemoteStubBackendKind;
+    stub_config.shots = 20;
+    stub_config.seed = 11;
+    BackendConfig inner_config = stub_config;
+    inner_config.kind = inner_kind;
 
-  const auto stub = registry.make(stub_config, context);
-  const auto inner = registry.make(inner_config, context);
-  ASSERT_TRUE(stub.ok()) << stub.status().to_string();
-  ASSERT_TRUE(inner.ok()) << inner.status().to_string();
+    const auto stub = registry.make(stub_config, context);
+    const auto inner = registry.make(inner_config, context);
+    ASSERT_TRUE(stub.ok()) << stub.status().to_string();
+    ASSERT_TRUE(inner.ok()) << inner.status().to_string();
+    EXPECT_TRUE((*stub)->capabilities().finite_shots);
 
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ((*stub)->run_logits(w.data.features[i]),
-              (*inner)->run_logits(w.data.features[i]))
-        << "sample " << i;
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ((*stub)->run_logits(w.data.features[i]),
+                (*inner)->run_logits(w.data.features[i]))
+          << "sample " << i;
+    }
+    EXPECT_EQ((*stub)->run_logits_batch(w.data.features),
+              (*inner)->run_logits_batch(w.data.features));
+
+    const auto* typed = dynamic_cast<const RemoteStubBackend*>(stub->get());
+    ASSERT_NE(typed, nullptr);
+    const RemoteStubBackend::Stats stats = typed->stats();
+    EXPECT_EQ(stats.submissions, 6u);  // 5 singles + 1 batch
+    EXPECT_EQ(stats.jobs, (5u + w.data.features.size()) * 3u);
+    EXPECT_EQ(stats.wait_seconds, 0.0);  // latency knobs left at zero
+
+    // Fault accounting is a pure function of the options and the job count:
+    // a second stub fed the same sequence reports identical stats.
+    const auto twin = registry.make(stub_config, context);
+    ASSERT_TRUE(twin.ok());
+    for (std::size_t i = 0; i < 5; ++i) {
+      (void)(*twin)->run_logits(w.data.features[i]);
+    }
+    (void)(*twin)->run_logits_batch(w.data.features);
+    const auto* twin_typed =
+        dynamic_cast<const RemoteStubBackend*>(twin->get());
+    ASSERT_NE(twin_typed, nullptr);
+    EXPECT_EQ(twin_typed->stats().faults, stats.faults);
+    EXPECT_EQ(twin_typed->stats().jobs, stats.jobs);
   }
-  EXPECT_EQ((*stub)->run_logits_batch(w.data.features),
-            (*inner)->run_logits_batch(w.data.features));
-
-  const auto* typed = dynamic_cast<const RemoteStubBackend*>(stub->get());
-  ASSERT_NE(typed, nullptr);
-  const RemoteStubBackend::Stats stats = typed->stats();
-  EXPECT_EQ(stats.submissions, 6u);  // 5 singles + 1 batch
-  EXPECT_EQ(stats.jobs, (5u + w.data.features.size()) * 3u);
-  EXPECT_EQ(stats.wait_seconds, 0.0);  // latency knobs left at zero
-
-  // Fault accounting is a pure function of the options and the job count: a
-  // second stub fed the same sequence reports identical stats.
-  const auto twin = registry.make(stub_config, context);
-  ASSERT_TRUE(twin.ok());
-  for (std::size_t i = 0; i < 5; ++i) {
-    (void)(*twin)->run_logits(w.data.features[i]);
-  }
-  (void)(*twin)->run_logits_batch(w.data.features);
-  const auto* twin_typed = dynamic_cast<const RemoteStubBackend*>(twin->get());
-  ASSERT_NE(twin_typed, nullptr);
-  EXPECT_EQ(twin_typed->stats().faults, stats.faults);
-  EXPECT_EQ(twin_typed->stats().jobs, stats.jobs);
 }
 
 TEST(RemoteStub, ConcurrentSubmissionsMatchSerialAccounting) {

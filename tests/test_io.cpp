@@ -3,7 +3,7 @@
 // the corruption battery (every single-byte truncation and every
 // single-byte mutation of a golden artifact must be rejected with a
 // Status — never a crash, never a partial decode), byte-stability against
-// the checked-in golden file (tests/golden/repo_v1.qcd: any layout drift
+// the checked-in golden file (tests/golden/repo_v2.qcd: any layout drift
 // without a format-version bump fails here), and the cold-start contract —
 // a service rebuilt from a saved artifact serves bitwise-identical
 // predictions, for all three execution-backend kinds.
@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -162,7 +163,7 @@ Calibration literal_calibration(double scale) {
   return c;
 }
 
-/// The deterministic artifact behind tests/golden/repo_v1.qcd: exact-
+/// The deterministic artifact behind tests/golden/repo_v2.qcd: exact-
 /// literal values only. Changing what this builds (or how it encodes)
 /// REQUIRES regenerating the golden file AND bumping kArtifactFormatVersion
 /// — that is the byte-stability contract under test.
@@ -246,8 +247,6 @@ Artifacts random_artifacts(Rng& rng) {
   artifacts.config.num_shards = 1 + static_cast<std::size_t>(rng.uniform(0.0, 4.0));
   artifacts.config.queue_capacity =
       8 + static_cast<std::size_t>(rng.uniform(0.0, 100.0));
-  artifacts.config.eval.shot_seed = static_cast<std::uint64_t>(
-      rng.uniform(0.0, 1e6));
   artifacts.config.manager.bootstrap_scale = rng.uniform(0.5, 2.0);
   if (rng.bernoulli(0.5)) {
     artifacts.config.eval.backend = BackendConfig()
@@ -255,6 +254,14 @@ Artifacts random_artifacts(Rng& rng) {
                                         .with_shots(128)
                                         .with_seed(static_cast<std::uint64_t>(
                                             rng.uniform(0.0, 1e6)));
+  } else if (rng.bernoulli(0.5)) {
+    // Shot-sampled density, seeded or asking for an unseeded stream.
+    artifacts.config.eval.backend.shots = 64;
+    artifacts.config.eval.backend.seed =
+        rng.bernoulli(0.5) ? std::optional<std::uint64_t>(
+                                 static_cast<std::uint64_t>(
+                                     rng.uniform(0.0, 1e6)))
+                           : std::nullopt;
   }
   return artifacts;
 }
@@ -452,6 +459,14 @@ TEST(IoArtifacts, SemanticallyInvalidValuesRejectedNotThrown) {
   const StatusOr<Artifacts> result = deserialize_artifacts(bytes);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+
+  // A service config whose fields are each in range but which
+  // ServiceConfig::validate refuses (a zero-shard service routes nothing).
+  artifacts.config.num_shards = 0;
+  const StatusOr<Artifacts> zero_shards =
+      deserialize_artifacts(serialize_artifacts(artifacts));
+  ASSERT_FALSE(zero_shards.ok());
+  EXPECT_EQ(zero_shards.status().code(), StatusCode::kDataLoss);
 }
 
 // --- corruption battery --------------------------------------------------
@@ -498,7 +513,7 @@ TEST(IoCorruption, GarbageBuffersRejected) {
 // --- golden byte stability ----------------------------------------------
 
 std::string golden_path() {
-  return std::string(QUCAD_GOLDEN_DIR) + "/repo_v1.qcd";
+  return std::string(QUCAD_GOLDEN_DIR) + "/repo_v2.qcd";
 }
 
 TEST(IoGolden, SerializationIsByteStableAgainstTheCheckedInArtifact) {
@@ -520,10 +535,10 @@ TEST(IoGolden, SerializationIsByteStableAgainstTheCheckedInArtifact) {
       (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
   ASSERT_EQ(bytes.size(), checked_in.size())
       << "artifact byte layout changed; if intentional, bump "
-         "kArtifactFormatVersion and regenerate tests/golden/repo_v1.qcd";
+         "kArtifactFormatVersion and regenerate tests/golden/repo_v2.qcd";
   EXPECT_EQ(bytes, checked_in)
       << "artifact byte layout changed; if intentional, bump "
-         "kArtifactFormatVersion and regenerate tests/golden/repo_v1.qcd";
+         "kArtifactFormatVersion and regenerate tests/golden/repo_v2.qcd";
 }
 
 TEST(IoGolden, CheckedInArtifactLoads) {
@@ -596,6 +611,7 @@ TEST(IoColdStart, BitwiseIdenticalPredictionsAcrossAllBackendKinds) {
                       .with_kind(BackendKind::kSampled)
                       .with_shots(256)
                       .with_seed(11)},
+      {"density_shots", BackendConfig().with_shots(128).with_seed(13)},
   };
   for (const auto& kind : kinds) {
     SCOPED_TRACE(kind.label);

@@ -358,8 +358,8 @@ TEST(NoisyEvaluate, PoolSizeDoesNotChangePredictions) {
   }
 
   // Shot-based sampling must also be pool-invariant (per-sample seeds).
-  serial_opts.shots = 256;
-  parallel_opts.shots = 256;
+  serial_opts.backend.shots = 256;
+  parallel_opts.backend.shots = 256;
   const NoisyEvalResult sa =
       noisy_evaluate(model, transpiled, theta, data, h.day(1), serial_opts);
   const NoisyEvalResult sb =
